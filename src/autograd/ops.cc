@@ -29,6 +29,25 @@ Var MakeOp(Matrix value, std::vector<Var> parents,
   return node;
 }
 
+// For i in order: out[to[i]] += rows[from[i]] * scale[i]. Each product row
+// is rounded by kernels::Scale before kernels::Add accumulates it; both are
+// one IEEE operation per element on every backend, so this equals gathering,
+// scaling and scatter-adding whole (edges x dim) matrices bit for bit.
+// (kernels::Axpy into a non-zero row would contract to FMA on vector
+// backends and break that.)
+void ScaledScatterAdd(const Matrix& rows, const std::vector<size_t>& from,
+                      const std::vector<size_t>& to, const double* scale,
+                      Matrix* out) {
+  const size_t d = rows.cols();
+  std::vector<double> term(d);
+  for (size_t i = 0; i < from.size(); ++i) {
+    const double* src = rows.RowPtr(from[i]);
+    std::copy(src, src + d, term.data());
+    kernels::Scale(term.data(), scale[i], d);
+    kernels::Add(out->RowPtr(to[i]), term.data(), d);
+  }
+}
+
 }  // namespace
 
 Var Add(const Var& a, const Var& b) {
@@ -68,9 +87,14 @@ Var Scale(const Var& a, double s) {
 Var MatMul(const Var& a, const Var& b) {
   return MakeOp(a->value().MatMul(b->value()), {a, b},
                 [a, b](const Matrix& g) {
-                  // dL/dA = G B^T ; dL/dB = A^T G.
-                  a->AccumulateGrad(g.MatMulTransposed(b->value()));
-                  b->AccumulateGrad(a->value().TransposedMatMul(g));
+                  // dL/dA = G B^T ; dL/dB = A^T G. A constant operand (the
+                  // GNN input features) gets no product at all.
+                  if (NeedsGrad(a)) {
+                    a->AccumulateGrad(g.MatMulTransposed(b->value()));
+                  }
+                  if (NeedsGrad(b)) {
+                    b->AccumulateGrad(a->value().TransposedMatMul(g));
+                  }
                 });
 }
 
@@ -93,15 +117,22 @@ Var MulColBroadcast(const Var& a, const Var& col) {
   }
   return MakeOp(std::move(out), {a, col},
                 [a, col](const Matrix& g) {
-                  Matrix ga = g;
-                  Matrix gcol(g.rows(), 1);
-                  for (size_t r = 0; r < g.rows(); ++r) {
-                    gcol(r, 0) = kernels::Dot(g.RowPtr(r),
-                                              a->value().RowPtr(r), g.cols());
-                    kernels::Scale(ga.RowPtr(r), col->value()(r, 0), g.cols());
+                  if (NeedsGrad(a)) {
+                    Matrix ga = g;
+                    for (size_t r = 0; r < g.rows(); ++r) {
+                      kernels::Scale(ga.RowPtr(r), col->value()(r, 0),
+                                     g.cols());
+                    }
+                    a->AccumulateGrad(ga);
                   }
-                  a->AccumulateGrad(ga);
-                  col->AccumulateGrad(gcol);
+                  if (NeedsGrad(col)) {
+                    Matrix gcol(g.rows(), 1);
+                    for (size_t r = 0; r < g.rows(); ++r) {
+                      gcol(r, 0) = kernels::Dot(
+                          g.RowPtr(r), a->value().RowPtr(r), g.cols());
+                    }
+                    col->AccumulateGrad(gcol);
+                  }
                 });
 }
 
@@ -267,22 +298,60 @@ Var GatherRows(const Var& a, std::vector<size_t> indices) {
                 });
 }
 
-Var ScatterAddRows(const Var& a, std::vector<size_t> indices,
-                   size_t num_rows) {
-  TG_CHECK_EQ(indices.size(), a->value().rows());
-  Matrix out(num_rows, a->value().cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    TG_CHECK_LT(indices[i], num_rows);
-    kernels::Add(out.RowPtr(indices[i]), a->value().RowPtr(i), out.cols());
+Var WeightedNeighborSum(const Var& x, std::vector<size_t> src,
+                        std::vector<size_t> dst, const Var& weight,
+                        size_t num_rows) {
+  TG_CHECK_EQ(src.size(), dst.size());
+  TG_CHECK_EQ(weight->value().rows(), src.size());
+  TG_CHECK_EQ(weight->value().cols(), 1u);
+  for (size_t i = 0; i < src.size(); ++i) {
+    TG_CHECK_LT(src[i], x->value().rows());
+    TG_CHECK_LT(dst[i], num_rows);
   }
-  return MakeOp(std::move(out), {a},
-                [a, indices = std::move(indices)](const Matrix& g) {
-                  Matrix ga(a->value().rows(), a->value().cols());
-                  for (size_t i = 0; i < indices.size(); ++i) {
-                    const double* src = g.RowPtr(indices[i]);
-                    std::copy(src, src + ga.cols(), ga.RowPtr(i));
+  Matrix out(num_rows, x->value().cols());
+  ScaledScatterAdd(x->value(), src, dst, weight->value().data(), &out);
+  return MakeOp(std::move(out), {x, weight},
+                [x, weight, src = std::move(src),
+                 dst = std::move(dst)](const Matrix& g) {
+                  if (NeedsGrad(x)) {
+                    Matrix gx(x->value().rows(), x->value().cols());
+                    ScaledScatterAdd(g, dst, src, weight->value().data(), &gx);
+                    x->AccumulateGrad(gx);
                   }
-                  a->AccumulateGrad(ga);
+                  if (NeedsGrad(weight)) {
+                    Matrix gw(src.size(), 1);
+                    for (size_t i = 0; i < src.size(); ++i) {
+                      gw(i, 0) = kernels::Dot(g.RowPtr(dst[i]),
+                                              x->value().RowPtr(src[i]),
+                                              g.cols());
+                    }
+                    weight->AccumulateGrad(gw);
+                  }
+                });
+}
+
+Var PairDot(const Var& z, std::vector<size_t> u, std::vector<size_t> v) {
+  TG_CHECK_EQ(u.size(), v.size());
+  const Matrix& zv = z->value();
+  Matrix out(u.size(), 1);
+  for (size_t i = 0; i < u.size(); ++i) {
+    TG_CHECK_LT(u[i], zv.rows());
+    TG_CHECK_LT(v[i], zv.rows());
+    out(i, 0) = kernels::Dot(zv.RowPtr(u[i]), zv.RowPtr(v[i]), zv.cols());
+  }
+  return MakeOp(std::move(out), {z},
+                [z, u = std::move(u), v = std::move(v)](const Matrix& g) {
+                  // Two accumulations, v side first, so z's gradient rounds
+                  // as (grad + v side) + u side: the order in which backward
+                  // reaches the two gathers of RowsDot(GatherRows(z, u),
+                  // GatherRows(z, v)), which this op must match.
+                  const Matrix& zv = z->value();
+                  Matrix gz(zv.rows(), zv.cols());
+                  ScaledScatterAdd(zv, u, v, g.data(), &gz);
+                  z->AccumulateGrad(gz);
+                  std::fill(gz.data(), gz.data() + gz.size(), 0.0);
+                  ScaledScatterAdd(zv, v, u, g.data(), &gz);
+                  z->AccumulateGrad(gz);
                 });
 }
 

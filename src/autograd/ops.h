@@ -1,8 +1,9 @@
 // Differentiable operations over autograd Vars.
 //
 // Shape conventions follow the rest of the library: matrices are row-major,
-// a batch of node embeddings is (num_nodes x dim), an edge list op works on
-// (num_edges x dim) matrices produced by GatherRows.
+// a batch of node embeddings is (num_nodes x dim). Graph message passing
+// (WeightedNeighborSum, PairDot) reads node rows through index lists and
+// never materializes a (num_edges x dim) matrix, forward or backward.
 #ifndef TG_AUTOGRAD_OPS_H_
 #define TG_AUTOGRAD_OPS_H_
 
@@ -48,9 +49,19 @@ Var Mean(const Var& a);  // -> 1x1
 // --- Row indexing (graph message passing) ---
 // out[i] = a[indices[i]].
 Var GatherRows(const Var& a, std::vector<size_t> indices);
-// out has `num_rows` rows; out[indices[i]] += a[i].
-Var ScatterAddRows(const Var& a, std::vector<size_t> indices,
-                   size_t num_rows);
+// out has `num_rows` rows; for i in order, out[dst[i]] += x[src[i]] * w[i].
+// `weight` is (edges x 1): a constant edge weighting or a learned one (GAT
+// attention); its gradient is computed only when it takes part in
+// differentiation. Bit-identical on every backend to
+// ScatterAdd(MulColBroadcast(GatherRows(x, src), weight), dst) -- each
+// product is rounded before it is added.
+Var WeightedNeighborSum(const Var& x, std::vector<size_t> src,
+                        std::vector<size_t> dst, const Var& weight,
+                        size_t num_rows);
+// out[i] = <z[u[i]], z[v[i]]> -> (pairs x 1), the link-prediction decoder.
+// Bit-identical to RowsDot(GatherRows(z, u), GatherRows(z, v)), including
+// the order in which the backward pass adds the two sides into z's gradient.
+Var PairDot(const Var& z, std::vector<size_t> u, std::vector<size_t> v);
 
 // Softmax over groups of rows: scores is (n x 1); rows sharing a segment id
 // are normalized together (GAT attention over each node's incident edges).

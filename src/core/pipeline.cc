@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/sweep_checkpoint.h"
 #include "util/backoff.h"
@@ -26,7 +28,104 @@ namespace {
 // lifetime can store to it; sweeps poll it between targets.
 std::atomic<bool> g_sweep_drain{false};
 
+// Appends "|name=value"; doubles print at %.17g, so distinct values never
+// share a key.
+template <typename T>
+void Put(const char* name, T value, std::string* out) {
+  *out += '|';
+  *out += name;
+  *out += '=';
+  if constexpr (std::is_floating_point_v<T>) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.17g", value);
+    *out += text;
+  } else if constexpr (std::is_enum_v<T>) {
+    *out += std::to_string(static_cast<int>(value));
+  } else {
+    *out += std::to_string(value);
+  }
+}
+
 }  // namespace
+
+std::string EmbeddingConfigKey(const PipelineConfig& config) {
+  const GraphBuildOptions& g = config.graph;
+  std::string key = GraphLearnerName(config.strategy.learner);
+  key += "|t=";
+  key += g.exclude_target.has_value() ? std::to_string(*g.exclude_target)
+                                      : "none";
+  Put("acc", g.accuracy_threshold, &key);
+  Put("tr", g.transferability_threshold, &key);
+  Put("neg", g.negative_threshold, &key);
+  Put("ia", g.include_accuracy_edges, &key);
+  Put("it", g.include_transferability_edges, &key);
+  Put("hr", g.history_ratio, &key);
+  key += "|hm=" + std::string(zoo::FineTuneMethodName(g.history_method));
+  Put("rep", g.representation, &key);
+  Put("gseed", g.seed, &key);
+  Put("seed", config.seed, &key);
+  Put("pca", config.node_feature_pca_dim, &key);
+
+  const WalkConfig& walk = config.node2vec.walk;
+  Put("wpn", walk.walks_per_node, &key);
+  Put("wlen", walk.walk_length, &key);
+  Put("p", walk.p, &key);
+  Put("q", walk.q, &key);
+  Put("wext", walk.extended, &key);
+  // skipgram.full_matrix_merge is left out: both merges are bit-identical.
+  const SkipGramConfig& sg = config.node2vec.skipgram;
+  Put("dim", sg.dim, &key);
+  Put("win", sg.window, &key);
+  Put("negs", sg.negatives, &key);
+  Put("sgep", sg.epochs, &key);
+  Put("lr", sg.initial_lr, &key);
+  Put("minlr", sg.min_lr_fraction, &key);
+  Put("pow", sg.sampling_power, &key);
+  Put("par", sg.parallel, &key);
+  Put("shards", sg.num_shards, &key);
+
+  Put("sage.hid", config.sage.hidden_dim, &key);
+  Put("sage.out", config.sage.output_dim, &key);
+  Put("sage.layers", config.sage.num_layers, &key);
+  Put("sage.norm", config.sage.normalize_output, &key);
+  Put("gat.hid", config.gat.hidden_dim, &key);
+  Put("gat.out", config.gat.output_dim, &key);
+  Put("gat.layers", config.gat.num_layers, &key);
+  Put("gat.heads", config.gat.num_heads, &key);
+  Put("gat.slope", config.gat.leaky_relu_slope, &key);
+  const gnn::LinkPredictionConfig& lp = config.link_prediction;
+  Put("lp.epochs", lp.epochs, &key);
+  Put("lp.lr", lp.learning_rate, &key);
+  Put("lp.wd", lp.weight_decay, &key);
+  Put("lp.negs", lp.sampled_negative_ratio, &key);
+  return key;
+}
+
+std::string PredictorSettingsKey(const PredictorSettings& settings) {
+  std::string key;
+  Put("ridge", settings.ridge_lambda, &key);
+  const ml::RandomForestConfig& rf = settings.random_forest;
+  Put("rf.trees", rf.num_trees, &key);
+  Put("rf.depth", rf.tree.max_depth, &key);
+  Put("rf.leaf", rf.tree.min_samples_leaf, &key);
+  Put("rf.split", rf.tree.min_samples_split, &key);
+  Put("rf.feat", rf.tree.max_features, &key);
+  Put("rf.engine", rf.tree.engine, &key);
+  Put("rf.bins", rf.tree.max_bins, &key);
+  Put("rf.ff", rf.feature_fraction, &key);
+  Put("rf.seed", rf.seed, &key);
+  const ml::GbdtConfig& gb = settings.gbdt;
+  Put("gb.trees", gb.num_trees, &key);
+  Put("gb.depth", gb.max_depth, &key);
+  Put("gb.eta", gb.learning_rate, &key);
+  Put("gb.lambda", gb.lambda, &key);
+  Put("gb.gamma", gb.gamma, &key);
+  Put("gb.mcw", gb.min_child_weight, &key);
+  Put("gb.sub", gb.subsample, &key);
+  Put("gb.bins", gb.max_bins, &key);
+  Put("gb.seed", gb.seed, &key);
+  return key;
+}
 
 void RequestSweepDrain() {
   g_sweep_drain.store(true, std::memory_order_relaxed);
@@ -66,26 +165,6 @@ double TargetEvaluation::TopKMeanAccuracy(int k) const {
 
 Pipeline::Pipeline(zoo::ModelZoo* zoo, zoo::Modality modality)
     : zoo_(zoo), modality_(modality) {}
-
-std::string Pipeline::EmbeddingCacheKey(const PipelineConfig& config) const {
-  const GraphBuildOptions& g = config.graph;
-  std::string key = GraphLearnerName(config.strategy.learner);
-  key += "|t=";
-  key += g.exclude_target.has_value() ? std::to_string(*g.exclude_target)
-                                      : "none";
-  key += "|acc=" + std::to_string(g.accuracy_threshold);
-  key += "|tr=" + std::to_string(g.transferability_threshold);
-  key += "|ia=" + std::to_string(g.include_accuracy_edges);
-  key += "|it=" + std::to_string(g.include_transferability_edges);
-  key += "|hr=" + std::to_string(g.history_ratio);
-  key += "|hm=" + std::string(zoo::FineTuneMethodName(g.history_method));
-  key += "|rep=" + std::to_string(static_cast<int>(g.representation));
-  key += "|gseed=" + std::to_string(g.seed);
-  key += "|seed=" + std::to_string(config.seed);
-  key += "|dim=" + std::to_string(config.node2vec.skipgram.dim);
-  key += "|pca=" + std::to_string(config.node_feature_pca_dim);
-  return key;
-}
 
 Matrix Pipeline::BuildNodeFeatures(const PipelineConfig& config,
                                    const BuiltGraph& built) {
@@ -151,7 +230,7 @@ const Matrix& Pipeline::EmbeddingsFor(const PipelineConfig& config,
   static obs::Counter& cache_miss =
       obs::MetricsRegistry::Instance().GetCounter(
           "pipeline.embedding_cache.miss");
-  const std::string key = EmbeddingCacheKey(config);
+  const std::string key = EmbeddingConfigKey(config);
   {
     std::lock_guard<std::mutex> lock(embedding_mu_);
     auto it = embedding_cache_.find(key);

@@ -112,6 +112,15 @@ void ClearSweepDrain();  // tests / repeated sweeps within one process
 // degraded results are bit-identical.
 PipelineConfig DegradedFallbackConfig(const PipelineConfig& config);
 
+// Every PipelineConfig field that changes the learned node embeddings --
+// learner, graph options, seeds, walk and skip-gram settings, GNN and
+// link-prediction settings, node-feature PCA -- as "|name=value" text with
+// doubles at %.17g. It is the embedding cache key, and SweepFingerprint
+// builds on it, so a field added here reaches both.
+std::string EmbeddingConfigKey(const PipelineConfig& config);
+// The prediction-model settings in the same form (part of SweepFingerprint).
+std::string PredictorSettingsKey(const PredictorSettings& settings);
+
 class Pipeline {
  public:
   // The zoo must outlive the pipeline. One pipeline per modality.
@@ -154,7 +163,6 @@ class Pipeline {
   zoo::ModelZoo* zoo() const { return zoo_; }
 
  private:
-  std::string EmbeddingCacheKey(const PipelineConfig& config) const;
   // Node feature matrix for GNN learners: dataset representation for
   // dataset nodes, metadata for model nodes, plus node-type indicators.
   Matrix BuildNodeFeatures(const PipelineConfig& config,

@@ -52,27 +52,15 @@ bool ReadDoubleArray(const JsonValue* value, bool finite,
 
 std::string SweepFingerprint(const PipelineConfig& config,
                              zoo::Modality modality) {
-  const GraphBuildOptions& g = config.graph;
   std::string fp = ModalityName(modality);
   fp += "|f=";
   fp += FeatureSetName(config.strategy.features);
-  fp += "|l=";
-  fp += GraphLearnerName(config.strategy.learner);
   fp += "|p=";
   fp += PredictorKindName(config.strategy.predictor);
-  fp += "|acc=" + std::to_string(g.accuracy_threshold);
-  fp += "|tr=" + std::to_string(g.transferability_threshold);
-  fp += "|ia=" + std::to_string(g.include_accuracy_edges);
-  fp += "|it=" + std::to_string(g.include_transferability_edges);
-  fp += "|hr=" + std::to_string(g.history_ratio);
-  fp += "|hm=" + std::string(zoo::FineTuneMethodName(g.history_method));
-  fp += "|rep=" + std::to_string(static_cast<int>(g.representation));
-  fp += "|gseed=" + std::to_string(g.seed);
-  fp += "|dim=" + std::to_string(config.node2vec.skipgram.dim);
-  fp += "|pca=" + std::to_string(config.node_feature_pca_dim);
+  fp += "|l=" + EmbeddingConfigKey(config);
+  fp += PredictorSettingsKey(config.predictor);
   fp += "|em=" + std::string(zoo::FineTuneMethodName(config.evaluation_method));
   fp += "|tl=" + std::to_string(config.use_transferability_labels);
-  fp += "|seed=" + std::to_string(config.seed);
   return fp;
 }
 

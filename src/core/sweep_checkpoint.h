@@ -27,8 +27,9 @@ struct SweepCheckpoint {
 };
 
 // Deterministic digest of everything that affects sweep results: modality,
-// strategy, graph options, seeds, label source, evaluation method. Two
-// configs with equal fingerprints produce bit-identical evaluations.
+// strategy, every embedding input (EmbeddingConfigKey), predictor settings,
+// label source, evaluation method. Two configs with equal fingerprints
+// produce bit-identical evaluations.
 std::string SweepFingerprint(const PipelineConfig& config,
                              zoo::Modality modality);
 

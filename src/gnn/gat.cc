@@ -42,8 +42,12 @@ autograd::Var Gat::RunHead(const Head& head, const autograd::Var& h) const {
                         GatherRows(dst_score, edges_.dst)),
                     config_.leaky_relu_slope);
   Var alpha = SegmentSoftmax(e, edges_.dst);
-  Var messages = MulColBroadcast(GatherRows(wh, edges_.src), alpha);
-  return ScatterAddRows(messages, edges_.dst, edges_.num_nodes);
+  // The messages read wh through an exact identity node (x * 1.0), so
+  // backward adds their gradient into wh after the two attention-score
+  // gradients, not before. That is the summation order the pinned GAT
+  // embeddings in tests/gnn_test.cc were recorded with.
+  return WeightedNeighborSum(Scale(wh, 1.0), edges_.src, edges_.dst, alpha,
+                             edges_.num_nodes);
 }
 
 autograd::Var Gat::Encode(const autograd::Var& features) const {

@@ -47,7 +47,7 @@ LinkPredictionResult TrainLinkPrediction(
 
     optimizer.ZeroGrad();
     Var z = encoder->Encode(feature_var);
-    Var logits = RowsDot(GatherRows(z, u_idx), GatherRows(z, v_idx));
+    Var logits = PairDot(z, std::move(u_idx), std::move(v_idx));
     Var loss = BceWithLogits(
         logits, MakeConstant(Matrix::ColumnVector(labels)));
     Backward(loss);

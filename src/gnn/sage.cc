@@ -53,18 +53,17 @@ GraphSage::GraphSage(const EdgeIndex& edges, size_t in_dim,
     inv_deg(v, 0) = inv_deg(v, 0) > 0.0 ? 1.0 / inv_deg(v, 0) : 0.0;
   }
   inv_weighted_degree_ = autograd::MakeConstant(std::move(inv_deg));
+  edge_weight_ = autograd::MakeConstant(Matrix::ColumnVector(edges.weight));
 }
 
 autograd::Var GraphSage::Aggregate(const Layer& layer,
                                    const autograd::Var& h) const {
   using namespace autograd;  // NOLINT(build/namespaces)
-  // Transform each neighbor message, gather along edges, weight, and average
-  // into the destination nodes.
+  // Transform each neighbor message, sum it weighted into the destination
+  // nodes, and normalize the sum into a weighted mean.
   Var transformed = Relu(layer.pre->Forward(h));
-  Var messages = GatherRows(transformed, edges_.src);
-  Var weighted = MulColBroadcast(
-      messages, MakeConstant(Matrix::ColumnVector(edges_.weight)));
-  Var summed = ScatterAddRows(weighted, edges_.dst, edges_.num_nodes);
+  Var summed = WeightedNeighborSum(transformed, edges_.src, edges_.dst,
+                                   edge_weight_, edges_.num_nodes);
   return MulColBroadcast(summed, inv_weighted_degree_);
 }
 

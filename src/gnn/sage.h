@@ -45,6 +45,7 @@ class GraphSage : public Encoder {
   SageConfig config_;
   std::vector<Layer> layers_;
   autograd::Var inv_weighted_degree_;  // (num_nodes x 1) constant
+  autograd::Var edge_weight_;          // (num_edges x 1) constant
 };
 
 }  // namespace tg::gnn

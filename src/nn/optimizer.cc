@@ -47,16 +47,22 @@ void Adam::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     if (p->grad().empty()) continue;
-    Matrix g = p->grad();
-    if (weight_decay_ > 0.0) g += p->value() * weight_decay_;
+    const size_t n = p->value().size();
+    const double* gd = p->grad().data();
+    if (weight_decay_ > 0.0) {
+      // g + wd * value with the product rounded before the add, built in a
+      // buffer reused across steps and parameters.
+      decayed_.assign(p->value().data(), p->value().data() + n);
+      kernels::Scale(decayed_.data(), weight_decay_, n);
+      kernels::Add(decayed_.data(), gd, n);
+      gd = decayed_.data();
+    }
     Matrix& m = m_[i];
     Matrix& v = v_[i];
-    const size_t n = g.size();
-    kernels::ScaleAdd(m.data(), beta1_, 1.0 - beta1_, g.data(), n);
+    kernels::ScaleAdd(m.data(), beta1_, 1.0 - beta1_, gd, n);
     double* vd = v.data();
     double* value = p->mutable_value().data();
     const double* md = m.data();
-    const double* gd = g.data();
     const double beta2 = beta2_;
     const double one_minus_beta2 = 1.0 - beta2_;
     for (size_t j = 0; j < n; ++j) {

@@ -58,6 +58,7 @@ class Adam : public Optimizer {
   long step_count_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
+  std::vector<double> decayed_;  // weight-decayed gradient scratch
 };
 
 }  // namespace tg::nn

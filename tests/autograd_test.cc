@@ -1,10 +1,14 @@
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "autograd/tape.h"
+#include "numeric/kernel_backend.h"
+#include "numeric/kernels.h"
 #include "util/rng.h"
 
 namespace tg::autograd {
@@ -161,12 +165,159 @@ TEST(AutogradTest, GatherRowsGradient) {
       {Rand(3, 4, 32)});
 }
 
+// Reference scatter-add for the fused-op tests: out has `num_rows` rows;
+// out[indices[i]] += a[i]. Composed with GatherRows and MulColBroadcast it
+// is the unfused form WeightedNeighborSum must match bit for bit.
+Var ScatterAddRows(const Var& a, std::vector<size_t> indices,
+                   size_t num_rows) {
+  Matrix out(num_rows, a->value().cols());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    kernels::Add(out.RowPtr(indices[i]), a->value().RowPtr(i), out.cols());
+  }
+  Var node = std::make_shared<Node>(std::move(out), /*requires_grad=*/false);
+  node->set_parents({a});
+  node->set_backward([a, indices = std::move(indices)](const Matrix& g) {
+    Matrix ga(a->value().rows(), a->value().cols());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      const double* src = g.RowPtr(indices[i]);
+      std::copy(src, src + ga.cols(), ga.RowPtr(i));
+    }
+    a->AccumulateGrad(ga);
+  });
+  return node;
+}
+
 TEST(AutogradTest, ScatterAddRowsGradient) {
   CheckGradient(
       [](const std::vector<Var>& p) {
         return Sum(Tanh(ScatterAddRows(p[0], {1, 0, 1, 3}, 4)));
       },
       {Rand(4, 3, 33)});
+}
+
+// Edge lists with repeated sources and destinations, a self loop and a
+// node (5) that receives nothing.
+const std::vector<size_t> kSrc = {0, 2, 2, 1, 4, 3, 0, 4, 1};
+const std::vector<size_t> kDst = {1, 1, 0, 3, 4, 0, 2, 1, 1};
+
+TEST(AutogradTest, WeightedNeighborSumGradient) {
+  CheckGradient(
+      [](const std::vector<Var>& p) {
+        return Sum(Tanh(WeightedNeighborSum(p[0], kSrc, kDst, p[1], 6)));
+      },
+      {Rand(5, 3, 43), Rand(kSrc.size(), 1, 44)});
+}
+
+TEST(AutogradTest, WeightedNeighborSumConstantWeightGradient) {
+  const Var weight = MakeConstant(Rand(kSrc.size(), 1, 45));
+  CheckGradient(
+      [weight](const std::vector<Var>& p) {
+        return Sum(Tanh(WeightedNeighborSum(p[0], kSrc, kDst, weight, 6)));
+      },
+      {Rand(5, 3, 46)});
+  EXPECT_TRUE(weight->grad().empty());
+}
+
+TEST(AutogradTest, PairDotGradient) {
+  CheckGradient(
+      [](const std::vector<Var>& p) {
+        return Sum(Sigmoid(PairDot(p[0], kSrc, kDst)));
+      },
+      {Rand(5, 3, 47)});
+}
+
+void ExpectBitIdentical(const Matrix& fused, const Matrix& unfused,
+                        const std::string& what) {
+  ASSERT_EQ(fused.rows(), unfused.rows()) << what;
+  ASSERT_EQ(fused.cols(), unfused.cols()) << what;
+  for (size_t i = 0; i < fused.size(); ++i) {
+    ASSERT_EQ(std::memcmp(fused.data() + i, unfused.data() + i,
+                          sizeof(double)),
+              0)
+        << what << " entry " << i << ": " << fused.data()[i] << " vs "
+        << unfused.data()[i];
+  }
+}
+
+// Runs `body` once under every kernel backend this binary can use here,
+// restoring the active one afterwards.
+void ForEachBackend(const std::function<void(const std::string&)>& body) {
+  const std::string saved = kernels::ActiveBackendName();
+  for (const std::string& name : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(name)) << name;
+    body(name);
+  }
+  kernels::SetActiveBackend(saved);
+}
+
+// The fused op against GatherRows -> MulColBroadcast -> ScatterAddRows.
+// `x` also feeds a second term that backward reaches first, so x's gradient
+// is a sum of two contributions and their order is checked too.
+void CheckNeighborSumMatchesUnfused(bool learned_weight,
+                                    const std::string& backend) {
+  const size_t kRows = 7;
+  const size_t kDim = 37;  // odd, so vector kernels run their scalar tails
+  const Matrix x0 = Rand(5, kDim, 50);
+  const Matrix w0 = Rand(kSrc.size(), 1, 51);
+  const Var side = MakeConstant(Rand(5, kDim, 52));
+  const Var probe = MakeConstant(Rand(kRows, kDim, 53));
+  struct Run {
+    Var x, w, out;
+  };
+  auto run = [&](bool fused) {
+    Run r;
+    r.x = MakeParameter(x0);
+    r.w = learned_weight ? MakeParameter(w0) : MakeConstant(w0);
+    r.out = fused ? WeightedNeighborSum(r.x, kSrc, kDst, r.w, kRows)
+                  : ScatterAddRows(
+                        MulColBroadcast(GatherRows(r.x, kSrc), r.w), kDst,
+                        kRows);
+    Backward(Add(Sum(Mul(Tanh(r.out), probe)), Sum(Mul(r.x, side))));
+    return r;
+  };
+  const Run fused = run(true);
+  const Run unfused = run(false);
+  const std::string tag = backend + (learned_weight ? " learned" : " const");
+  ExpectBitIdentical(fused.out->value(), unfused.out->value(), tag + " value");
+  ExpectBitIdentical(fused.x->grad(), unfused.x->grad(), tag + " dx");
+  if (learned_weight) {
+    ExpectBitIdentical(fused.w->grad(), unfused.w->grad(), tag + " dw");
+  } else {
+    EXPECT_TRUE(fused.w->grad().empty()) << tag;
+  }
+}
+
+TEST(AutogradTest, WeightedNeighborSumBitIdenticalToUnfusedOnEveryBackend) {
+  ForEachBackend([](const std::string& backend) {
+    CheckNeighborSumMatchesUnfused(/*learned_weight=*/false, backend);
+    CheckNeighborSumMatchesUnfused(/*learned_weight=*/true, backend);
+  });
+}
+
+TEST(AutogradTest, PairDotBitIdenticalToUnfusedOnEveryBackend) {
+  ForEachBackend([](const std::string& backend) {
+    const size_t kDim = 37;
+    const Matrix z0 = Rand(5, kDim, 60);
+    const Var side = MakeConstant(Rand(5, kDim, 61));
+    const Var labels = MakeConstant(
+        Matrix::ColumnVector({1, 0, 1, 1, 0, 0, 1, 0, 1}));
+    auto run = [&](bool fused, Var* z) {
+      *z = MakeParameter(z0);
+      Var logits = fused ? PairDot(*z, kSrc, kDst)
+                         : RowsDot(GatherRows(*z, kSrc),
+                                   GatherRows(*z, kDst));
+      // The side term's gradient lands in z before the decoder's two, so
+      // z's gradient is (side + v side) + u side: order-sensitive.
+      Backward(Add(BceWithLogits(logits, labels), Sum(Mul(*z, side))));
+      return logits;
+    };
+    Var z_fused;
+    Var z_unfused;
+    const Var fused = run(true, &z_fused);
+    const Var unfused = run(false, &z_unfused);
+    ExpectBitIdentical(fused->value(), unfused->value(), backend + " value");
+    ExpectBitIdentical(z_fused->grad(), z_unfused->grad(), backend + " dz");
+  });
 }
 
 TEST(AutogradTest, SegmentSoftmaxValuesSumToOnePerSegment) {

@@ -6,6 +6,7 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "core/recommender.h"
+#include "core/sweep_checkpoint.h"
 #include "ml/tree_engine.h"
 
 namespace tg::core {
@@ -98,6 +99,134 @@ TEST_F(PipelineTest, DifferentTargetsGetDifferentCacheEntries) {
   const Matrix& e1 = pipeline_->EmbeddingsFor(c1, b1);
   const Matrix& e2 = pipeline_->EmbeddingsFor(c2, b2);
   EXPECT_NE(&e1, &e2);
+}
+
+// A reused Pipeline must not serve embeddings trained under different GNN
+// settings, and a checkpoint from such a sweep must not resume.
+TEST_F(PipelineTest, LinkPredictionEpochsSeparateCacheEntriesAndFingerprints) {
+  Strategy tg{PredictorKind::kLinearRegression, GraphLearner::kGraphSage,
+              FeatureSet::kAll};
+  PipelineConfig c1 = FastConfig(tg);
+  c1.graph.exclude_target = target_;
+  PipelineConfig c2 = c1;
+  c2.link_prediction.epochs = c1.link_prediction.epochs + 1;
+  BuiltGraph built =
+      BuildModelZooGraph(zoo_.get(), zoo::Modality::kImage, c1.graph);
+  const Matrix& e1 = pipeline_->EmbeddingsFor(c1, built);
+  const Matrix& e2 = pipeline_->EmbeddingsFor(c2, built);
+  EXPECT_NE(&e1, &e2);
+  EXPECT_EQ(&pipeline_->EmbeddingsFor(c1, built), &e1);
+  EXPECT_NE(SweepFingerprint(c1, zoo::Modality::kImage),
+            SweepFingerprint(c2, zoo::Modality::kImage));
+}
+
+// Every embedding input changes the cache key, and every predictor setting
+// changes the sweep fingerprint.
+TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
+  using Mutation = void (*)(PipelineConfig*);
+  const Mutation embedding_fields[] = {
+      [](PipelineConfig* c) { c->strategy.learner = GraphLearner::kGat; },
+      [](PipelineConfig* c) { c->graph.exclude_target = 3; },
+      [](PipelineConfig* c) { c->graph.accuracy_threshold = 0.4; },
+      [](PipelineConfig* c) { c->graph.transferability_threshold = 0.4; },
+      [](PipelineConfig* c) { c->graph.negative_threshold = 0.4; },
+      [](PipelineConfig* c) { c->graph.include_accuracy_edges = false; },
+      [](PipelineConfig* c) { c->graph.include_transferability_edges = false; },
+      [](PipelineConfig* c) { c->graph.history_ratio = 0.5; },
+      [](PipelineConfig* c) {
+        c->graph.history_method = zoo::FineTuneMethod::kLora;
+      },
+      [](PipelineConfig* c) {
+        c->graph.representation = zoo::DatasetRepresentation::kTask2Vec;
+      },
+      [](PipelineConfig* c) { c->graph.seed = 6; },
+      [](PipelineConfig* c) { c->seed = 1; },
+      [](PipelineConfig* c) { c->node_feature_pca_dim = 8; },
+      [](PipelineConfig* c) { c->node2vec.walk.walks_per_node = 3; },
+      [](PipelineConfig* c) { c->node2vec.walk.walk_length = 3; },
+      [](PipelineConfig* c) { c->node2vec.walk.p = 0.5; },
+      [](PipelineConfig* c) { c->node2vec.walk.q = 2.0; },
+      [](PipelineConfig* c) { c->node2vec.walk.extended = true; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.dim = 8; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.window = 2; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.negatives = 2; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.epochs = 2; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.initial_lr = 0.0250001; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.min_lr_fraction = 1e-4; },
+      [](PipelineConfig* c) { c->node2vec.skipgram.sampling_power = 0.5; },
+      [](PipelineConfig* c) {
+        c->node2vec.skipgram.parallel = SkipGramParallelMode::kHogwild;
+      },
+      [](PipelineConfig* c) { c->node2vec.skipgram.num_shards = 2; },
+      [](PipelineConfig* c) { c->sage.hidden_dim = 8; },
+      [](PipelineConfig* c) { c->sage.output_dim = 8; },
+      [](PipelineConfig* c) { c->sage.num_layers = 1; },
+      [](PipelineConfig* c) { c->sage.normalize_output = false; },
+      [](PipelineConfig* c) { c->gat.hidden_dim = 8; },
+      [](PipelineConfig* c) { c->gat.output_dim = 8; },
+      [](PipelineConfig* c) { c->gat.num_layers = 1; },
+      [](PipelineConfig* c) { c->gat.num_heads = 1; },
+      [](PipelineConfig* c) { c->gat.leaky_relu_slope = 0.1; },
+      [](PipelineConfig* c) { c->link_prediction.epochs = 7; },
+      [](PipelineConfig* c) { c->link_prediction.learning_rate = 1e-3; },
+      [](PipelineConfig* c) { c->link_prediction.weight_decay = 1e-7; },
+      [](PipelineConfig* c) {
+        c->link_prediction.sampled_negative_ratio = 2.0;
+      },
+  };
+  const Mutation predictor_fields[] = {
+      [](PipelineConfig* c) { c->predictor.ridge_lambda = 1e-2; },
+      [](PipelineConfig* c) { c->predictor.random_forest.num_trees = 7; },
+      [](PipelineConfig* c) { c->predictor.random_forest.tree.max_depth = 2; },
+      [](PipelineConfig* c) {
+        c->predictor.random_forest.tree.min_samples_leaf = 9;
+      },
+      [](PipelineConfig* c) {
+        c->predictor.random_forest.tree.min_samples_split = 9;
+      },
+      [](PipelineConfig* c) {
+        c->predictor.random_forest.tree.max_features = 3;
+      },
+      [](PipelineConfig* c) {
+        c->predictor.random_forest.tree.engine = ml::TreeEngineChoice::kHist;
+      },
+      [](PipelineConfig* c) { c->predictor.random_forest.tree.max_bins = 9; },
+      [](PipelineConfig* c) {
+        c->predictor.random_forest.feature_fraction = 0.5;
+      },
+      [](PipelineConfig* c) { c->predictor.random_forest.seed = 1; },
+      [](PipelineConfig* c) { c->predictor.gbdt.num_trees = 7; },
+      [](PipelineConfig* c) { c->predictor.gbdt.max_depth = 2; },
+      [](PipelineConfig* c) { c->predictor.gbdt.learning_rate = 0.2; },
+      [](PipelineConfig* c) { c->predictor.gbdt.lambda = 2.0; },
+      [](PipelineConfig* c) { c->predictor.gbdt.gamma = 0.1; },
+      [](PipelineConfig* c) { c->predictor.gbdt.min_child_weight = 2.0; },
+      [](PipelineConfig* c) { c->predictor.gbdt.subsample = 0.5; },
+      [](PipelineConfig* c) { c->predictor.gbdt.max_bins = 9; },
+      [](PipelineConfig* c) { c->predictor.gbdt.seed = 1; },
+  };
+  const PipelineConfig base;
+  const std::string base_key = EmbeddingConfigKey(base);
+  const std::string base_fp = SweepFingerprint(base, zoo::Modality::kImage);
+  EXPECT_EQ(EmbeddingConfigKey(PipelineConfig()), base_key);
+  int index = 0;
+  for (Mutation mutate : embedding_fields) {
+    PipelineConfig c;
+    mutate(&c);
+    EXPECT_NE(EmbeddingConfigKey(c), base_key) << "embedding field " << index;
+    EXPECT_NE(SweepFingerprint(c, zoo::Modality::kImage), base_fp)
+        << "embedding field " << index;
+    ++index;
+  }
+  index = 0;
+  for (Mutation mutate : predictor_fields) {
+    PipelineConfig c;
+    mutate(&c);
+    EXPECT_EQ(EmbeddingConfigKey(c), base_key) << "predictor field " << index;
+    EXPECT_NE(SweepFingerprint(c, zoo::Modality::kImage), base_fp)
+        << "predictor field " << index;
+    ++index;
+  }
 }
 
 TEST_F(PipelineTest, GraphSageLearnerRuns) {

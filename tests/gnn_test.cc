@@ -1,4 +1,7 @@
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -6,7 +9,9 @@
 #include "gnn/gat.h"
 #include "gnn/link_prediction.h"
 #include "gnn/sage.h"
+#include "numeric/kernel_backend.h"
 #include "numeric/stats.h"
+#include "obs/memory.h"
 #include "util/rng.h"
 
 namespace tg::gnn {
@@ -253,6 +258,141 @@ TEST(LinkPredictionTest, LabeledNegativesAccepted) {
       TrainLinkPrediction(g, &encoder, features, negatives, config, &rng);
   EXPECT_EQ(result.loss_curve.size(), 10u);
   EXPECT_TRUE(std::isfinite(result.loss_curve.back()));
+}
+
+// FNV-1a over the %.17g text of every entry, so two matrices hash equal only
+// when every double (sign of zero included) is the same.
+uint64_t EmbeddingHash(const Matrix& m) {
+  uint64_t hash = 1469598103934665603ull;
+  char text[40];
+  for (size_t i = 0; i < m.size(); ++i) {
+    const int n = std::snprintf(text, sizeof(text), "%.17g;", m.data()[i]);
+    for (int k = 0; k < n; ++k) {
+      hash ^= static_cast<unsigned char>(text[k]);
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+std::string Hex(uint64_t v) {
+  char text[20];
+  std::snprintf(text, sizeof(text), "%016" PRIx64, v);
+  return text;
+}
+
+// Forces a kernel backend for the enclosing scope.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(const std::string& name)
+      : saved_(kernels::ActiveBackendName()),
+        ok_(kernels::SetActiveBackend(name)) {}
+  ~ScopedBackend() { kernels::SetActiveBackend(saved_); }
+  bool ok() const { return ok_; }
+
+ private:
+  std::string saved_;
+  bool ok_;
+};
+
+// Pinned link-prediction embeddings under the exact-order scalar backend.
+// The hashes were recorded from the GatherRows / MulColBroadcast /
+// ScatterAddRows / RowsDot formulation of message passing and decoding, so
+// any change to the GNN arithmetic (or its order) fails here.
+TEST(LinkPredictionTest, SageEmbeddingsPinnedUnderScalar) {
+  ScopedBackend scalar("scalar");
+  ASSERT_TRUE(scalar.ok());
+  Graph g = TwoCommunities();
+  EdgeIndex edges = BuildEdgeIndex(g, true);
+  Rng rng(41);
+  SageConfig sage_config;
+  sage_config.hidden_dim = 8;
+  sage_config.output_dim = 6;
+  GraphSage encoder(edges, 5, sage_config, &rng);
+  Matrix features = Matrix::Gaussian(g.num_nodes(), 5, &rng);
+  LinkPredictionConfig config;
+  config.epochs = 25;
+  config.learning_rate = 1e-2;
+  LinkPredictionResult result = TrainLinkPrediction(
+      g, &encoder, features, {{0, 7}, {2, 9}}, config, &rng);
+  EXPECT_EQ(Hex(EmbeddingHash(result.embeddings)), "e93aeb7002fb4372");
+}
+
+TEST(LinkPredictionTest, GatEmbeddingsPinnedUnderScalar) {
+  ScopedBackend scalar("scalar");
+  ASSERT_TRUE(scalar.ok());
+  Graph g = TwoCommunities();
+  EdgeIndex edges = BuildEdgeIndex(g, true);
+  Rng rng(43);
+  GatConfig gat_config;
+  gat_config.hidden_dim = 4;
+  gat_config.output_dim = 6;
+  gat_config.num_heads = 2;
+  Gat encoder(edges, 5, gat_config, &rng);
+  Matrix features = Matrix::Gaussian(g.num_nodes(), 5, &rng);
+  LinkPredictionConfig config;
+  config.epochs = 25;
+  config.learning_rate = 1e-2;
+  LinkPredictionResult result = TrainLinkPrediction(
+      g, &encoder, features, {{0, 7}, {2, 9}}, config, &rng);
+  EXPECT_EQ(Hex(EmbeddingHash(result.embeddings)), "ff47e76a1c6cfd2f");
+}
+
+// A ring over `num_nodes` nodes plus chords (i, i + k) for k = 2, 3, ...
+// until the graph has `num_edges` undirected edges.
+Graph RingWithChords(size_t num_nodes, size_t num_edges) {
+  Graph g;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    g.AddNode(i % 2 == 0 ? NodeType::kDataset : NodeType::kModel,
+              "n" + std::to_string(i));
+  }
+  for (size_t k = 1; g.num_undirected_edges() < num_edges; ++k) {
+    for (size_t i = 0; i < num_nodes && g.num_undirected_edges() < num_edges;
+         ++i) {
+      g.AddUndirectedEdge(i, (i + k) % num_nodes, EdgeType::kDatasetDataset,
+                          0.5 + 0.01 * static_cast<double>(i));
+    }
+  }
+  return g;
+}
+
+// Gross heap bytes of one GraphSAGE link-prediction epoch: the difference
+// between a two-epoch and a one-epoch training run from the same seed.
+uint64_t SageEpochBytes(const Graph& g) {
+  const EdgeIndex edges = BuildEdgeIndex(g, true);
+  SageConfig sage_config;
+  sage_config.hidden_dim = 32;
+  sage_config.output_dim = 32;
+  auto train_bytes = [&](int epochs) {
+    Rng rng(5);
+    GraphSage encoder(edges, 64, sage_config, &rng);
+    Matrix features = Matrix::Gaussian(g.num_nodes(), 64, &rng);
+    LinkPredictionConfig config;
+    config.epochs = epochs;
+    const obs::AllocStats before = obs::ThreadAllocStats();
+    TrainLinkPrediction(g, &encoder, features, {}, config, &rng);
+    return (obs::ThreadAllocStats() - before).bytes;
+  };
+  const bool was_tracking = obs::MemoryTrackingEnabled();
+  obs::SetMemoryTrackingEnabled(true);
+  const uint64_t one = train_bytes(1);
+  const uint64_t two = train_bytes(2);
+  obs::SetMemoryTrackingEnabled(was_tracking);
+  EXPECT_GT(two, one);
+  return two - one;
+}
+
+// Message passing and decoding must not materialize (edges x dim) matrices:
+// the same nodes with four times the edges may cost only the edge-sized
+// index and (edges x 1) score vectors more per epoch.
+TEST(LinkPredictionTest, SageEpochAllocationDoesNotGrowWithEdges) {
+  const uint64_t sparse = SageEpochBytes(RingWithChords(40, 60));
+  const uint64_t dense = SageEpochBytes(RingWithChords(40, 240));
+  ASSERT_GT(sparse, 0u);
+  const double ratio =
+      static_cast<double>(dense) / static_cast<double>(sparse);
+  EXPECT_LT(ratio, 1.5) << "sparse " << sparse << " B, dense " << dense
+                        << " B per epoch";
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 # Pre-PR gate: Release + ThreadSanitizer builds, both test suites (the TSan
 # pass covers the concurrent allocation tracking in obs_memory_test), an
 # UndefinedBehaviorSanitizer pass over the kernel layer, a kernel-backend
-# dispatch gate (kernels_test under TG_ISA=scalar and under the widest
-# host-supported backend, plus a forced-unavailable hard-error check), a
+# dispatch gate (kernels_test, autograd_test and gnn_test under
+# TG_ISA=scalar and under the widest host-supported backend, plus a
+# forced-unavailable hard-error check), a
 # kernels micro-bench smoke run, a bench-history append + regression compare
 # (with an injected-regression self-test of the gate, pinned
 # skipgram_sharded/random_forest_fit stage ratios, an absolute
@@ -75,20 +76,26 @@ else
 fi
 
 section "kernel backend dispatch gate"
-# The kernel suite must pass with dispatch forced to the exact-order scalar
-# backend AND under the widest backend this binary+CPU supports (what
-# TG_ISA=auto resolves to). `tg_cli backend` prints both facts; forcing a
-# backend that does not exist must be a hard error, never a silent
-# fallback (see docs/performance.md).
-cmake --build build-release -j "$JOBS" --target kernels_test tg_cli
+# The kernel suite, and the autograd and GNN suites built on it, must pass
+# with dispatch forced to the exact-order scalar backend AND under the
+# widest backend this binary+CPU supports (what TG_ISA=auto resolves to):
+# the fused message-passing ops stay bit-identical only while no vector
+# backend contracts their mul+add to FMA. `tg_cli backend` prints both
+# facts; forcing a backend that does not exist must be a hard error, never
+# a silent fallback (see docs/performance.md).
+DISPATCH_TESTS="kernels_test autograd_test gnn_test"
+# shellcheck disable=SC2086
+cmake --build build-release -j "$JOBS" --target $DISPATCH_TESTS tg_cli
 ./build-release/tools/tg_cli backend
 BEST_BACKEND="$(./build-release/tools/tg_cli backend \
     | sed -n 's/^active: //p')"
-TG_ISA=scalar ./build-release/tests/kernels_test \
-    --gtest_brief=1
+for t in $DISPATCH_TESTS; do
+  TG_ISA=scalar "./build-release/tests/$t" --gtest_brief=1
+done
 if [ "$BEST_BACKEND" != "scalar" ]; then
-  TG_ISA="$BEST_BACKEND" ./build-release/tests/kernels_test \
-      --gtest_brief=1
+  for t in $DISPATCH_TESTS; do
+    TG_ISA="$BEST_BACKEND" "./build-release/tests/$t" --gtest_brief=1
+  done
 else
   echo "(no vector backend available on this host; scalar pass already ran)"
 fi
