@@ -22,6 +22,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
+#include "util/backoff.h"
 #include "util/build_info.h"
 #include "util/fault.h"
 #include "util/json_util.h"
@@ -36,6 +37,10 @@ constexpr int kShardWriteAttempts = 6;
 // Merger retries per shard on transient read faults (NotFound and
 // InvalidArgument are permanent verdicts, never retried).
 constexpr int kShardReadAttempts = 4;
+// Retry/backoff policy for claim races and transient shard-write faults.
+// Each use XORs its seed with a hash of the worker id, so concurrent workers
+// de-synchronize deterministically.
+constexpr BackoffPolicy kBackoff;
 
 uint64_t HashId(const std::string& id) {
   // FNV-1a: stable across runs, good enough to de-synchronize the backoff
@@ -244,8 +249,6 @@ struct RenewerState {
   size_t lease_expiries = 0;
   size_t evaluated = 0;
   size_t failed = 0;
-  size_t renew_failures = 0;
-  size_t leases_lost = 0;
   bool drained = false;
 };
 
@@ -286,28 +289,18 @@ void RenewerLoop(RenewerState* s, const std::string& workdir,
     const std::string heartbeat =
         HeartbeatJson(worker, *s, targets_total, lease_sec);
     lock.unlock();
-    if (!lease.empty()) {
-      Status renewed = RenewLease(lease);
-      if (!renewed.ok()) {
-        lock.lock();
-        if (renewed.code() == StatusCode::kNotFound) {
-          // Stolen out from under us (we stalled past lease_sec, or the
-          // mtime bump lost a race). The in-flight evaluation continues --
-          // its result is bit-identical to the thief's and shard
-          // publication is idempotent -- but we stop renewing a lease we
-          // no longer own.
-          if (s->lease_path == lease) {
-            s->lease_path.clear();
-            ++s->leases_lost;
-          }
-          lock.unlock();
-          obs::EmitEvent("worker_lease_lost", worker, lease);
-          lock.lock();
-        } else {
-          ++s->renew_failures;
-        }
-        lock.unlock();
-      }
+    // NotFound: stolen out from under us (we stalled past lease_sec, or the
+    // mtime bump lost a race). The in-flight evaluation continues -- its
+    // result is bit-identical to the thief's and shard publication is
+    // idempotent -- but we stop renewing a lease we no longer own. Any other
+    // failure (an injected lease.renew fault) just skips this tick, and the
+    // lease ages toward reclaim.
+    if (!lease.empty() &&
+        RenewLease(lease).code() == StatusCode::kNotFound) {
+      obs::EmitEvent("worker_lease_lost", worker, lease);
+      lock.lock();
+      if (s->lease_path == lease) s->lease_path.clear();
+      lock.unlock();
     }
     // Best-effort telemetry: a failing heartbeat write must never take the
     // worker down.
@@ -696,12 +689,8 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
   targets_total_gauge.Set(static_cast<double>(targets.size()));
 
   RenewerState renewer;
-  std::thread renewer_thread;
-  if (options.heartbeat) {
-    renewer_thread =
-        std::thread(RenewerLoop, &renewer, workdir, worker, targets.size(),
-                    options.lease_sec);
-  }
+  std::thread renewer_thread(RenewerLoop, &renewer, workdir, worker,
+                             targets.size(), options.lease_sec);
   auto update_renewer = [&](const std::string& lease_path, long target) {
     std::lock_guard<std::mutex> lock(renewer.mu);
     renewer.lease_path = lease_path;
@@ -714,7 +703,7 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
   };
 
   const uint64_t worker_hash = HashId(worker);
-  BackoffPolicy idle_policy = options.backoff;
+  BackoffPolicy idle_policy = kBackoff;
   idle_policy.seed ^= worker_hash;
   Backoff idle_backoff(idle_policy);
 
@@ -722,112 +711,63 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
                  std::to_string(targets.size()) + " targets, workdir " +
                      workdir);
 
-  // Mirrors EvaluateAllTargetsResumable's run_target: one degraded retry,
-  // then publish. Returns true iff the target is resolved (shard or failed
-  // marker on disk) afterwards.
+  // One target through the shared sweep step, then publish: the shard (or
+  // the failed marker) lands on disk before the lease is unlinked. Returns
+  // true iff the target is resolved afterwards.
   auto run_one = [&](size_t k) -> bool {
-    const size_t dataset = targets[k];
-    const std::string& name = zoo->datasets()[dataset].name;
     const std::string lease_path = SweepLeasePath(workdir, k, worker);
     update_renewer(lease_path, static_cast<long>(k));
-    obs::EmitEvent("worker_target_begin", worker, name);
-
-    TargetEvaluation eval;
-    std::string error;
-    int retries = 0;
-    bool degraded = false;
-    bool ok = pipeline->TryEvaluateTarget(config, dataset, &eval, &error);
-    if (!ok && options.degrade_on_failure) {
-      ++retries;
-      ++report.retried;
-      obs::EmitEvent("worker_target_retry", worker, name + ": " + error);
-      // Same deterministic pause-then-fallback as the resumable sweep, so a
-      // distributed worker's degraded results are bit-identical to a serial
-      // run's.
-      BackoffPolicy retry_backoff;
-      retry_backoff.initial_sec = 0.005;
-      retry_backoff.max_sec = 0.05;
-      retry_backoff.seed = config.seed ^ dataset;
-      Backoff(retry_backoff).SleepNext();
-      const PipelineConfig fallback = DegradedFallbackConfig(config);
-      std::string retry_error;
-      ok = pipeline->TryEvaluateTarget(fallback, dataset, &eval, &retry_error);
-      if (ok) {
-        degraded = true;
-        ++report.degraded;
-      } else {
-        error += "; degraded retry: " + retry_error;
-      }
+    const TargetEvaluation eval = pipeline->SweepTarget(
+        config, targets[k], options.degrade_on_failure);
+    const std::string& name = eval.target_name;
+    if (eval.retries > 0) ++report.retried;
+    if (eval.degraded) ++report.degraded;
+    if (eval.failed) {
+      ++report.failed;
+      report.errors.push_back(name + ": " + eval.error);
     }
 
-    BackoffPolicy write_policy = options.backoff;
+    BackoffPolicy write_policy = kBackoff;
     write_policy.seed ^= worker_hash ^ (k * 0x9e3779b97f4a7c15ull);
     Backoff write_backoff(write_policy);
-    bool resolved = false;
-    if (ok) {
-      eval.retries = retries;
-      eval.degraded = degraded;
-      Status published;
-      bool on_disk = false;
-      for (int attempt = 0; attempt < kShardWriteAttempts; ++attempt) {
-        published = WriteSweepShard(workdir, k, fingerprint, eval);
-        if (published.ok()) {
-          on_disk = true;
-          break;
-        }
-        // A thief that published the (bit-identical) duplicate first can
-        // make our rename fail; the shard being on disk is what matters.
-        if (PathExists(SweepShardPath(workdir, k))) {
-          on_disk = true;
-          break;
-        }
-        write_backoff.SleepNext();
-      }
-      if (on_disk) {
+    const std::string path = eval.failed ? SweepFailedMarkerPath(workdir, k)
+                                         : SweepShardPath(workdir, k);
+    Status published;
+    bool on_disk = false;
+    for (int attempt = 0; attempt < kShardWriteAttempts && !on_disk;
+         ++attempt) {
+      if (attempt > 0) write_backoff.SleepNext();
+      published =
+          eval.failed
+              ? WriteSweepFailedMarker(workdir, k, fingerprint, eval.error)
+              : WriteSweepShard(workdir, k, fingerprint, eval);
+      // A thief that published the (bit-identical) duplicate first can make
+      // our rename fail; the file being on disk is what matters.
+      on_disk = published.ok() || PathExists(path);
+    }
+    if (on_disk) {
+      if (!eval.failed) {
         ++report.evaluated;
-        resolved = true;
         obs::EmitEvent("worker_shard", worker,
-                       name + (degraded ? " (degraded)" : ""));
-        // Publish-then-unlink: at every instant the target shows as leased
-        // or completed, never unowned-and-unfinished. ENOENT just means the
-        // lease was stolen mid-flight; the duplicate shard was identical.
-        std::remove(lease_path.c_str());
-      } else {
-        report.errors.push_back(name + ": shard write failed: " +
-                                published.ToString());
-        obs::EmitEvent("worker_shard_write_failed", worker,
-                       name + ": " + published.ToString());
-        // Hand the target back; a worker with a healthier disk can retry.
-        (void)ReleaseLeaseToFree(workdir, k, worker);
+                       name + (eval.degraded ? " (degraded)" : ""));
       }
+      // Publish-then-unlink: at every instant the target shows as leased or
+      // completed, never unowned-and-unfinished. ENOENT just means the lease
+      // was stolen mid-flight; the duplicate shard was identical.
+      std::remove(lease_path.c_str());
     } else {
-      ++report.failed;
-      report.errors.push_back(name + ": " + error);
-      TG_LOG(Warning) << "worker " << worker << " target " << name
-                      << " failed: " << error;
-      Status published;
-      bool on_disk = false;
-      for (int attempt = 0; attempt < kShardWriteAttempts; ++attempt) {
-        published = WriteSweepFailedMarker(workdir, k, fingerprint, error);
-        if (published.ok() || PathExists(SweepFailedMarkerPath(workdir, k))) {
-          on_disk = true;
-          break;
-        }
-        write_backoff.SleepNext();
-      }
-      if (on_disk) {
-        resolved = true;
-        std::remove(lease_path.c_str());
-      } else {
-        (void)ReleaseLeaseToFree(workdir, k, worker);
-      }
-      obs::EmitEvent("worker_target_failed", worker, name + ": " + error);
+      report.errors.push_back(name + ": shard write failed: " +
+                              published.ToString());
+      obs::EmitEvent("worker_shard_write_failed", worker,
+                     name + ": " + published.ToString());
+      // Hand the target back; a worker with a healthier disk can retry.
+      (void)ReleaseLeaseToFree(workdir, k, worker);
     }
     update_renewer("", -1);
     claims_gauge.Set(static_cast<double>(report.claims));
     steals_gauge.Set(static_cast<double>(report.steals));
     expiries_gauge.Set(static_cast<double>(report.lease_expiries));
-    return resolved;
+    return on_disk;
   };
 
   const double stall_sec = options.stall_timeout_sec > 0.0
@@ -912,24 +852,17 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
   report.complete = resolved == targets.size();
   targets_done_gauge.Set(static_cast<double>(resolved));
 
-  if (options.heartbeat) {
-    {
-      std::lock_guard<std::mutex> lock(renewer.mu);
-      renewer.stop = true;
-    }
-    renewer.cv.notify_all();
-    renewer_thread.join();
-  }
   {
-    // Final heartbeat so the drained/complete state is visible on disk even
-    // after the renewer stopped.
     std::lock_guard<std::mutex> lock(renewer.mu);
-    renewer.claims = report.claims;
-    renewer.steals = report.steals;
-    renewer.lease_expiries = report.lease_expiries;
-    renewer.evaluated = report.evaluated;
-    renewer.failed = report.failed;
-    renewer.current_target = -1;
+    renewer.stop = true;
+  }
+  renewer.cv.notify_all();
+  renewer_thread.join();
+  // Final heartbeat so the drained/complete state is visible on disk even
+  // after the renewer stopped.
+  update_renewer("", -1);
+  {
+    std::lock_guard<std::mutex> lock(renewer.mu);
     renewer.drained = report.drained;
     (void)WriteFileAtomic(
         SweepHeartbeatPath(workdir, worker),

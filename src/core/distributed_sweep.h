@@ -23,10 +23,12 @@
 // target either free, leased (reclaimable after the lease expires), or
 // completed -- never lost, never torn. A lease acquired by rename keeps the
 // source file's mtime, so owners bump it (utimensat) on acquisition and a
-// renewal thread keeps bumping it every lease_sec/3 while a target is in
-// flight; a stale bump loses at worst one target of duplicated work, and
-// duplicated work is harmless because every worker computes bit-identical
-// results and shard publication is an idempotent atomic rename.
+// renewal thread keeps bumping it every lease_sec/4 (clamped to
+// [0.02 s, 5 s]) while a target is in flight; a stale bump loses at worst
+// one target of duplicated work, and duplicated work is harmless because
+// every worker computes bit-identical results (every target runs through
+// Pipeline::SweepTarget, as in the serial sweep) and shard publication is an
+// idempotent atomic rename.
 //
 // Fault sites (TG_FAULT): "claim.rename" (claim/steal/release rename fails
 // transiently), "lease.renew" (a renewal tick is skipped), "shard.write"
@@ -40,7 +42,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "util/backoff.h"
 #include "util/status.h"
 
 namespace tg::core {
@@ -51,13 +52,9 @@ struct DistributedSweepOptions {
   // A lease whose mtime is older than this is considered abandoned (owner
   // crashed or stalled) and may be stolen by any live worker.
   double lease_sec = 30.0;
-  // Failed targets get one retry with DegradedFallbackConfig, matching
-  // EvaluateAllTargetsResumable semantics.
+  // Passed to Pipeline::SweepTarget, the step EvaluateAllTargetsResumable
+  // runs too: failed targets get one degraded retry.
   bool degrade_on_failure = true;
-  // Retry/backoff policy for claim races and transient I/O faults. The seed
-  // is XORed with a hash of worker_id so concurrent workers de-synchronize
-  // deterministically.
-  BackoffPolicy backoff;
   // Idle wait between scan rounds when every remaining target is owned by a
   // live lease (someone else is computing it).
   double poll_sec = 0.1;
@@ -65,9 +62,6 @@ struct DistributedSweepOptions {
   // progress: no claim, no steal, and no new shard appearing. 0 derives
   // max(60, 10 * lease_sec).
   double stall_timeout_sec = 0.0;
-  // Run the background lease-renewal / heartbeat thread. Tests that
-  // manipulate lease mtimes directly can turn it off.
-  bool heartbeat = true;
 };
 
 // What one worker process did. `complete` means every target of the sweep
@@ -187,8 +181,9 @@ Result<TargetEvaluation> ReadSweepShard(const std::string& workdir,
                                         size_t target,
                                         const std::string& fingerprint);
 
-// Removes *.tmp files older than `age_sec` under the workdir's claims/,
-// shards/, and root directories. Returns the number removed.
+// Removes *.tmp files older than `age_sec` under the workdir's root,
+// claims/, shards/, workers/ and workers/<id>/ directories. Returns the
+// number removed.
 size_t JanitorSweepTmpDebris(const std::string& workdir, double age_sec);
 
 }  // namespace tg::core

@@ -1,6 +1,7 @@
 #include "core/evaluation.h"
 
 #include "numeric/stats.h"
+#include "util/check.h"
 
 namespace tg::core {
 
@@ -20,8 +21,15 @@ StrategySummary Summarize(const std::string& name,
 
 StrategySummary EvaluateStrategy(Pipeline* pipeline,
                                  const PipelineConfig& config) {
-  return Summarize(config.strategy.DisplayName(),
-                   pipeline->EvaluateAllTargets(config));
+  // A figure never mixes in a degraded target: any failure aborts the run.
+  SweepOptions options;
+  options.degrade_on_failure = false;
+  const SweepResult result =
+      pipeline->EvaluateAllTargetsResumable(config, options);
+  TG_CHECK_MSG(result.complete, result.errors.empty()
+                                    ? "sweep drained before completion"
+                                    : result.errors.front().c_str());
+  return Summarize(config.strategy.DisplayName(), result.evaluations);
 }
 
 }  // namespace tg::core

@@ -46,6 +46,40 @@ void Put(const char* name, T value, std::string* out) {
   }
 }
 
+// The smallest strategy that still yields a ranking for every model:
+// metadata-only features need no graph, no embedding training, and no
+// dataset representations.
+PipelineConfig DegradedFallbackConfig(const PipelineConfig& config) {
+  PipelineConfig fallback = config;
+  fallback.strategy.features = FeatureSet::kMetadataOnly;
+  fallback.strategy.learner = GraphLearner::kNone;
+  return fallback;
+}
+
+// EvaluateTarget with every failure mode (exceptions, injected faults,
+// non-finite predictions) converted into a false return plus error text.
+bool TryEvaluateTarget(Pipeline* pipeline, const PipelineConfig& config,
+                       size_t target_dataset, TargetEvaluation* out,
+                       std::string* error) {
+  try {
+    if (TG_FAULT_POINT("pipeline.target")) {
+      throw std::runtime_error("injected fault at pipeline.target");
+    }
+    TargetEvaluation eval = pipeline->EvaluateTarget(config, target_dataset);
+    for (double p : eval.predicted) {
+      if (!std::isfinite(p)) {
+        throw std::runtime_error("non-finite prediction for " +
+                                 eval.target_name);
+      }
+    }
+    *out = std::move(eval);
+    return true;
+  } catch (const std::exception& e) {
+    *error = e.what();
+    return false;
+  }
+}
+
 }  // namespace
 
 std::string EmbeddingConfigKey(const PipelineConfig& config) {
@@ -137,13 +171,6 @@ bool SweepDrainRequested() {
 
 void ClearSweepDrain() {
   g_sweep_drain.store(false, std::memory_order_relaxed);
-}
-
-PipelineConfig DegradedFallbackConfig(const PipelineConfig& config) {
-  PipelineConfig fallback = config;
-  fallback.strategy.features = FeatureSet::kMetadataOnly;
-  fallback.strategy.learner = GraphLearner::kNone;
-  return fallback;
 }
 
 double TargetEvaluation::TopKMeanAccuracy(int k) const {
@@ -382,55 +409,59 @@ TargetEvaluation Pipeline::EvaluateTarget(const PipelineConfig& config,
   return eval;
 }
 
-std::vector<TargetEvaluation> Pipeline::EvaluateAllTargets(
-    const PipelineConfig& config) {
-  // The leave-one-out cells are independent (MetaGL/GLEMOS-style benchmark
-  // shape): fan targets out across the pool. Every per-target computation
-  // seeds its own randomness from the config, and the shared caches (zoo
-  // scores, embeddings) memoize deterministic values, so the output is
-  // bit-identical for any thread count.
-  const std::vector<size_t> targets = zoo_->EvaluationTargets(modality_);
-  TG_TRACE_SPAN("evaluate_all_targets");
-  std::vector<TargetEvaluation> out(targets.size());
-  ParallelFor(0, targets.size(), 1,
-              [&](size_t begin, size_t end, size_t /*chunk*/) {
-                for (size_t i = begin; i < end; ++i) {
-                  out[i] = EvaluateTarget(config, targets[i]);
-                }
-              });
-  return out;
-}
-
-bool Pipeline::TryEvaluateTarget(const PipelineConfig& config,
-                                 size_t target_dataset, TargetEvaluation* out,
-                                 std::string* error) {
-  try {
-    if (TG_FAULT_POINT("pipeline.target")) {
-      throw std::runtime_error("injected fault at pipeline.target");
-    }
-    TargetEvaluation eval = EvaluateTarget(config, target_dataset);
-    for (double p : eval.predicted) {
-      if (!std::isfinite(p)) {
-        throw std::runtime_error("non-finite prediction for " +
-                                 eval.target_name);
-      }
-    }
-    *out = std::move(eval);
-    return true;
-  } catch (const std::exception& e) {
-    *error = e.what();
-    return false;
-  }
-}
-
-SweepResult Pipeline::EvaluateAllTargetsResumable(
-    const PipelineConfig& config, const SweepOptions& options) {
+TargetEvaluation Pipeline::SweepTarget(const PipelineConfig& config,
+                                       size_t target_dataset,
+                                       bool degrade_on_failure) {
   static obs::Counter& retries_counter =
       obs::MetricsRegistry::Instance().GetCounter("pipeline.target_retries");
   static obs::Counter& degraded_counter =
       obs::MetricsRegistry::Instance().GetCounter("pipeline.target_degraded");
   static obs::Counter& failures_counter =
       obs::MetricsRegistry::Instance().GetCounter("pipeline.target_failures");
+  const std::string& target_name = zoo_->datasets()[target_dataset].name;
+  obs::EmitEvent("sweep.target_begin", target_name);
+  TargetEvaluation eval;
+  std::string error;
+  bool ok = TryEvaluateTarget(this, config, target_dataset, &eval, &error);
+  int retries = 0;
+  if (!ok && degrade_on_failure) {
+    ++retries;
+    retries_counter.Increment();
+    obs::EmitEvent("sweep.target_retry", target_name, error);
+    // Back off briefly before the retry: transient faults (I/O pressure,
+    // injected prob schedules) often clear with a pause. The delay is
+    // deterministic under (config seed, target) -- see util/backoff.
+    BackoffPolicy retry_backoff;
+    retry_backoff.initial_sec = 0.005;
+    retry_backoff.max_sec = 0.05;
+    retry_backoff.seed = config.seed ^ target_dataset;
+    Backoff(retry_backoff).SleepNext();
+    std::string retry_error;
+    ok = TryEvaluateTarget(this, DegradedFallbackConfig(config),
+                           target_dataset, &eval, &retry_error);
+    if (ok) {
+      eval.degraded = true;
+      degraded_counter.Increment();
+    } else {
+      error += "; degraded retry: " + retry_error;
+    }
+  }
+  eval.retries = retries;
+  if (!ok) {
+    eval.target_dataset = target_dataset;
+    eval.target_name = target_name;
+    eval.failed = true;
+    eval.error = error;
+    failures_counter.Increment();
+    TG_LOG(Warning) << "target " << target_name << " failed: " << error;
+  }
+  obs::EmitEvent("sweep.target_end", target_name,
+                 ok ? (eval.degraded ? "degraded" : "ok") : "failed");
+  return eval;
+}
+
+SweepResult Pipeline::EvaluateAllTargetsResumable(
+    const PipelineConfig& config, const SweepOptions& options) {
   static obs::Counter& checkpoint_write_failures =
       obs::MetricsRegistry::Instance().GetCounter(
           "pipeline.checkpoint_write_failures");
@@ -448,6 +479,11 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
   static obs::Gauge& targets_failed_gauge =
       obs::MetricsRegistry::Instance().GetGauge("sweep.targets_failed");
 
+  // The leave-one-out cells are independent (MetaGL/GLEMOS-style benchmark
+  // shape): fan targets out across the pool. Every per-target computation
+  // seeds its own randomness from the config, and the shared caches (zoo
+  // scores, embeddings) memoize deterministic values, so the output is
+  // bit-identical for any thread count.
   const std::vector<size_t> targets = zoo_->EvaluationTargets(modality_);
   TG_TRACE_SPAN("evaluate_all_targets");
   SweepResult result;
@@ -521,65 +557,20 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
   };
 
   auto run_target = [&](size_t i) {
-    const std::string& target_name = zoo_->datasets()[targets[i]].name;
-    obs::EmitEvent("sweep.target_begin", target_name);
-    TargetEvaluation eval;
-    std::string error;
-    int retries = 0;
-    bool degraded = false;
-    bool ok = TryEvaluateTarget(config, targets[i], &eval, &error);
-    if (!ok && options.degrade_on_failure) {
-      ++retries;
-      obs::EmitEvent("sweep.target_retry", target_name, error);
-      // Back off briefly before the retry: transient faults (I/O pressure,
-      // injected prob schedules) often clear with a pause. The delay is
-      // deterministic under (config seed, target index) -- see util/backoff.
-      BackoffPolicy retry_backoff;
-      retry_backoff.initial_sec = 0.005;
-      retry_backoff.max_sec = 0.05;
-      retry_backoff.seed = config.seed ^ targets[i];
-      Backoff(retry_backoff).SleepNext();
-      // Degraded strategy: metadata-only features need no graph, no
-      // embedding training, and no dataset representations -- the smallest
-      // surface that still yields a ranking for every model.
-      const PipelineConfig fallback = DegradedFallbackConfig(config);
-      std::string retry_error;
-      ok = TryEvaluateTarget(fallback, targets[i], &eval, &retry_error);
-      if (ok) {
-        degraded = true;
-      } else {
-        error += "; degraded retry: " + retry_error;
-      }
-    }
+    TargetEvaluation eval =
+        SweepTarget(config, targets[i], options.degrade_on_failure);
     std::lock_guard<std::mutex> lock(mu);
-    if (retries > 0) {
-      result.retried += 1;
-      retries_counter.Increment();
-    }
-    if (ok) {
-      eval.retries = retries;
-      eval.degraded = degraded;
-      result.evaluations[i] = std::move(eval);
-      done[i] = 1;
-      if (degraded) {
-        result.degraded += 1;
-        degraded_counter.Increment();
-      }
-      save_checkpoint_locked();
-    } else {
-      TargetEvaluation& slot = result.evaluations[i];
-      slot.target_dataset = targets[i];
-      slot.target_name = zoo_->datasets()[targets[i]].name;
-      slot.failed = true;
-      slot.retries = retries;
-      slot.error = error;
+    if (eval.retries > 0) result.retried += 1;
+    if (eval.failed) {
       result.failed += 1;
       result.complete = false;
-      result.errors.push_back(slot.target_name + ": " + error);
-      failures_counter.Increment();
-      TG_LOG(Warning) << "target " << slot.target_name
-                      << " failed: " << error;
+      result.errors.push_back(eval.target_name + ": " + eval.error);
+    } else {
+      done[i] = 1;
+      if (eval.degraded) result.degraded += 1;
     }
+    result.evaluations[i] = std::move(eval);
+    if (done[i]) save_checkpoint_locked();
     // Heartbeat refresh: processed counts every finished attempt (ok,
     // degraded, or failed), so done/total reaches 1.0 even on lossy sweeps.
     ++processed;
@@ -587,8 +578,6 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
     targets_retried_gauge.Set(static_cast<double>(result.retried));
     targets_degraded_gauge.Set(static_cast<double>(result.degraded));
     targets_failed_gauge.Set(static_cast<double>(result.failed));
-    obs::EmitEvent("sweep.target_end", target_name,
-                   ok ? (degraded ? "degraded" : "ok") : "failed");
   };
 
   try {

@@ -53,7 +53,7 @@ struct TargetEvaluation {
   std::vector<double> actual;
   double pearson = 0.0;
   double spearman = 0.0;
-  // Degradation bookkeeping (resumable sweeps): whether this evaluation
+  // Degradation bookkeeping (Pipeline::SweepTarget): whether this evaluation
   // came from the metadata-only fallback strategy, how many extra attempts
   // it took, and -- when even the fallback failed -- the error text.
   bool degraded = false;
@@ -105,13 +105,6 @@ void RequestSweepDrain();
 bool SweepDrainRequested();
 void ClearSweepDrain();  // tests / repeated sweeps within one process
 
-// The smallest strategy that still yields a ranking for every model:
-// metadata-only features need no graph, no embedding training, and no
-// dataset representations. Both the resumable sweep's once-degraded retry
-// and the distributed worker's fallback use exactly this transform so their
-// degraded results are bit-identical.
-PipelineConfig DegradedFallbackConfig(const PipelineConfig& config);
-
 // Every PipelineConfig field that changes the learned node embeddings --
 // learner, graph options, seeds, walk and skip-gram settings, GNN and
 // link-prediction settings, node-feature PCA -- as "|name=value" text with
@@ -131,28 +124,28 @@ class Pipeline {
   TargetEvaluation EvaluateTarget(const PipelineConfig& config,
                                   size_t target_dataset);
 
-  // Evaluates every evaluation-target dataset of the modality, in parallel
-  // across the global thread pool (TG_THREADS). Bit-identical results for
-  // any thread count given a fixed config seed.
-  std::vector<TargetEvaluation> EvaluateAllTargets(
-      const PipelineConfig& config);
+  // One step of a leave-one-out sweep: EvaluateTarget with every failure
+  // mode (exceptions, the "pipeline.target" fault point, non-finite
+  // predictions) caught. With degrade_on_failure, a failed target is retried
+  // once with the metadata-only strategy after a pause that is deterministic
+  // in (config seed, target). The result carries retries and degraded, or
+  // failed and error when no attempt succeeded. Emits the sweep.target_*
+  // events and counts pipeline.target_{retries,degraded,failures}. Both
+  // EvaluateAllTargetsResumable and the distributed worker
+  // (core/distributed_sweep.h) run every target through it, so their
+  // results are bit-identical.
+  TargetEvaluation SweepTarget(const PipelineConfig& config,
+                               size_t target_dataset, bool degrade_on_failure);
 
-  // EvaluateAllTargets with graceful degradation and optional resume: a
-  // target that throws (I/O fault, predictor failure, non-finite
-  // predictions) is retried once with the degraded strategy instead of
-  // taking the sweep down; with a checkpoint path, completed targets are
-  // persisted after each finish and skipped on restart. Resumed sweeps are
-  // bit-identical to uninterrupted ones (asserted by
-  // tests/chaos_pipeline_test.cc). See docs/robustness.md.
+  // The leave-one-out sweep: every evaluation-target dataset of the
+  // modality through SweepTarget, in parallel across the global thread pool
+  // (TG_THREADS), bit-identical for any thread count given a fixed config
+  // seed. With a checkpoint path, completed targets are persisted after
+  // each finish and skipped on restart; resumed sweeps are bit-identical to
+  // uninterrupted ones (asserted by tests/chaos_pipeline_test.cc). See
+  // docs/robustness.md.
   SweepResult EvaluateAllTargetsResumable(const PipelineConfig& config,
                                           const SweepOptions& options);
-
-  // EvaluateTarget with every failure mode (exceptions, injected faults,
-  // non-finite predictions) converted into a false return plus error text.
-  // Public so the distributed sweep worker (core/distributed_sweep.h) gets
-  // exactly the resumable sweep's per-target semantics.
-  bool TryEvaluateTarget(const PipelineConfig& config, size_t target_dataset,
-                         TargetEvaluation* out, std::string* error);
 
   // Node embeddings for the given graph/learner configuration (cached per
   // configuration; shared across prediction models and feature sets).

@@ -1,6 +1,7 @@
 #include "core/sweep_checkpoint.h"
 
 #include <cmath>
+#include <limits>
 
 #include "numeric/stats.h"
 #include "util/atomic_file.h"
@@ -30,11 +31,9 @@ Status BadCheckpoint(const std::string& path, const std::string& why) {
   return Status::InvalidArgument("checkpoint " + path + ": " + why);
 }
 
-// Reads a JSON array of numbers into `out`, requiring every element finite
-// when `finite` (scores and indices must be; NaN would poison correlations
-// silently).
-bool ReadDoubleArray(const JsonValue* value, bool finite,
-                     std::vector<double>* out) {
+// Reads a JSON array of finite numbers into `out` (NaN would poison
+// correlations silently).
+bool ReadFiniteArray(const JsonValue* value, std::vector<double>* out) {
   if (value == nullptr || !value->is_array()) return false;
   out->clear();
   out->reserve(value->size());
@@ -42,10 +41,24 @@ bool ReadDoubleArray(const JsonValue* value, bool finite,
     const JsonValue& element = value->at(i);
     if (!element.is_number()) return false;
     const double v = element.AsDouble();
-    if (finite && !std::isfinite(v)) return false;
+    if (!std::isfinite(v)) return false;
     out->push_back(v);
   }
   return true;
+}
+
+// 2^53: below it a double represents every integer exactly, and the cast
+// to size_t is defined.
+constexpr double kIndexLimit = 9007199254740992.0;
+constexpr double kRetriesLimit =
+    static_cast<double>(std::numeric_limits<int>::max()) + 1.0;
+
+// True iff `value` is a JSON number holding an integer in [0, limit). NaN
+// and infinities fail the range test.
+bool IsIntegerBelow(const JsonValue& value, double limit) {
+  if (!value.is_number()) return false;
+  const double v = value.AsDouble();
+  return v >= 0.0 && v < limit && v == std::floor(v);
 }
 
 }  // namespace
@@ -150,9 +163,7 @@ Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry) {
   }
   TargetEvaluation eval;
   const JsonValue* dataset = entry.Find("target_dataset");
-  if (dataset == nullptr || !dataset->is_number() ||
-      dataset->AsDouble() < 0.0 ||
-      dataset->AsDouble() != std::floor(dataset->AsDouble())) {
+  if (dataset == nullptr || !IsIntegerBelow(*dataset, kIndexLimit)) {
     return Status::InvalidArgument("bad target_dataset");
   }
   eval.target_dataset = static_cast<size_t>(dataset->AsDouble());
@@ -163,26 +174,29 @@ Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry) {
   eval.target_name = name->AsString();
   if (const JsonValue* degraded = entry.Find("degraded");
       degraded != nullptr) {
+    if (!degraded->is_bool()) return Status::InvalidArgument("bad degraded");
     eval.degraded = degraded->AsBool();
   }
   if (const JsonValue* retries = entry.Find("retries"); retries != nullptr) {
+    if (!IsIntegerBelow(*retries, kRetriesLimit)) {
+      return Status::InvalidArgument("bad retries");
+    }
     eval.retries = static_cast<int>(retries->AsDouble());
   }
-  std::vector<double> indices;
-  if (!ReadDoubleArray(entry.Find("model_indices"), /*finite=*/true,
-                       &indices)) {
+  const JsonValue* indices = entry.Find("model_indices");
+  if (indices == nullptr || !indices->is_array()) {
     return Status::InvalidArgument("bad model_indices");
   }
-  eval.model_indices.reserve(indices.size());
-  for (double v : indices) {
-    if (v < 0.0 || v != std::floor(v)) {
+  eval.model_indices.reserve(indices->size());
+  for (size_t i = 0; i < indices->size(); ++i) {
+    if (!IsIntegerBelow(indices->at(i), kIndexLimit)) {
       return Status::InvalidArgument("bad model index");
     }
-    eval.model_indices.push_back(static_cast<size_t>(v));
+    eval.model_indices.push_back(
+        static_cast<size_t>(indices->at(i).AsDouble()));
   }
-  if (!ReadDoubleArray(entry.Find("predicted"), /*finite=*/true,
-                       &eval.predicted) ||
-      !ReadDoubleArray(entry.Find("actual"), /*finite=*/true, &eval.actual)) {
+  if (!ReadFiniteArray(entry.Find("predicted"), &eval.predicted) ||
+      !ReadFiniteArray(entry.Find("actual"), &eval.actual)) {
     return Status::InvalidArgument("bad score arrays");
   }
   if (eval.predicted.size() != eval.model_indices.size() ||

@@ -56,7 +56,8 @@ void AppendTargetEvaluationJson(const TargetEvaluation& eval,
 
 // Parses and validates one such object (the inverse of the appender);
 // pearson/spearman are recomputed from the stored vectors. InvalidArgument
-// on any malformed, non-finite, or inconsistent field.
+// on any malformed, non-finite, or inconsistent field: indices must be
+// integers in [0, 2^53), retries a non-negative int, degraded a bool.
 Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry);
 
 }  // namespace tg::core

@@ -55,6 +55,17 @@ class ChaosPipelineTest : public ::testing::Test {
     return config;
   }
 
+  // The reference every sweep must reproduce: EvaluateTarget called
+  // directly, once per evaluation target, outside any sweep loop.
+  std::vector<TargetEvaluation> PerTargetReference(
+      const PipelineConfig& config) {
+    std::vector<TargetEvaluation> evals;
+    for (size_t target : zoo_->EvaluationTargets(zoo::Modality::kImage)) {
+      evals.push_back(pipeline_->EvaluateTarget(config, target));
+    }
+    return evals;
+  }
+
   static void ExpectBitIdentical(const std::vector<TargetEvaluation>& a,
                                  const std::vector<TargetEvaluation>& b) {
     ASSERT_EQ(a.size(), b.size());
@@ -73,10 +84,9 @@ class ChaosPipelineTest : public ::testing::Test {
   std::unique_ptr<Pipeline> pipeline_;
 };
 
-TEST_F(ChaosPipelineTest, ResumableWithDefaultsMatchesEvaluateAllTargets) {
+TEST_F(ChaosPipelineTest, SweepWithDefaultsMatchesPerTargetEvaluation) {
   const PipelineConfig config = FastConfig();
-  const std::vector<TargetEvaluation> plain =
-      pipeline_->EvaluateAllTargets(config);
+  const std::vector<TargetEvaluation> plain = PerTargetReference(config);
   const SweepResult resumable =
       pipeline_->EvaluateAllTargetsResumable(config, SweepOptions{});
   EXPECT_TRUE(resumable.complete);
@@ -107,12 +117,52 @@ TEST_F(ChaosPipelineTest, CheckpointRoundTripsEvaluations) {
   EXPECT_FALSE(LoadSweepCheckpoint(path).ok());
   ASSERT_TRUE(WriteFileAtomic(path, "{torn").ok());
   EXPECT_FALSE(LoadSweepCheckpoint(path).ok());
+
+  // Numbers out of range for their field, or a degraded flag that is not a
+  // bool, must be refused rather than cast into some other target's entry.
+  auto checkpoint_with = [](const std::string& dataset,
+                            const std::string& retries,
+                            const std::string& index,
+                            const std::string& degraded) {
+    return "{\"schema\":1,\"build_git_sha\":\"s\",\"fingerprint\":\"f\","
+           "\"targets\":[{\"target_dataset\":" + dataset +
+           ",\"target_name\":\"t\",\"degraded\":" + degraded +
+           ",\"retries\":" + retries + ",\"model_indices\":[0," + index +
+           ",2],\"predicted\":[0.1,0.2,0.3],\"actual\":[0.3,0.1,0.2]}]}";
+  };
+  ASSERT_TRUE(
+      WriteFileAtomic(path, checkpoint_with("3", "1", "7", "true")).ok());
+  Result<SweepCheckpoint> valid = LoadSweepCheckpoint(path);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  ASSERT_EQ(valid.value().targets.size(), 1u);
+  EXPECT_EQ(valid.value().targets[0].target_dataset, 3u);
+  EXPECT_EQ(valid.value().targets[0].retries, 1);
+  EXPECT_TRUE(valid.value().targets[0].degraded);
+  EXPECT_EQ(valid.value().targets[0].model_indices,
+            (std::vector<size_t>{0, 7, 2}));
+  const std::string malformed[] = {
+      checkpoint_with("1e300", "1", "7", "true"),
+      checkpoint_with("9007199254740992", "1", "7", "true"),
+      checkpoint_with("-1", "1", "7", "true"),
+      checkpoint_with("2.5", "1", "7", "true"),
+      checkpoint_with("3", "1e300", "7", "true"),
+      checkpoint_with("3", "-7", "7", "true"),
+      checkpoint_with("3", "2147483648", "7", "true"),
+      checkpoint_with("3", "0.5", "7", "true"),
+      checkpoint_with("3", "1", "1e300", "true"),
+      checkpoint_with("3", "1", "-1", "true"),
+      checkpoint_with("3", "1", "7", "\"yes\""),
+      checkpoint_with("3", "1", "7", "1"),
+  };
+  for (const std::string& json : malformed) {
+    ASSERT_TRUE(WriteFileAtomic(path, json).ok());
+    EXPECT_FALSE(LoadSweepCheckpoint(path).ok()) << json;
+  }
 }
 
 TEST_F(ChaosPipelineTest, ResumeIsBitIdenticalAcrossThreadCounts) {
   const PipelineConfig config = FastConfig();
-  const std::vector<TargetEvaluation> reference =
-      pipeline_->EvaluateAllTargets(config);
+  const std::vector<TargetEvaluation> reference = PerTargetReference(config);
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SetThreadCount(threads);
@@ -186,8 +236,7 @@ TEST_F(ChaosPipelineTest, DegradedRetryKeepsSweepComplete) {
 
 TEST_F(ChaosPipelineTest, RandomizedChaosSchedulesNeverCrashOrTear) {
   const PipelineConfig config = FastConfig();
-  const std::vector<TargetEvaluation> reference =
-      pipeline_->EvaluateAllTargets(config);
+  const std::vector<TargetEvaluation> reference = PerTargetReference(config);
   const std::string path = TempPath("checkpoint_chaos.json");
 
   // Deterministic "randomized" schedules: seeded probability rules across

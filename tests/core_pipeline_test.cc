@@ -8,6 +8,8 @@
 #include "core/recommender.h"
 #include "core/sweep_checkpoint.h"
 #include "ml/tree_engine.h"
+#include "util/check.h"
+#include "util/fault.h"
 
 namespace tg::core {
 namespace {
@@ -263,15 +265,32 @@ TEST_F(PipelineTest, TopKMeanAccuracy) {
               1e-12);
 }
 
-TEST_F(PipelineTest, EvaluateAllTargetsCoversEvaluationSet) {
+TEST_F(PipelineTest, SweepCoversEvaluationSet) {
   Strategy lr{PredictorKind::kLinearRegression, GraphLearner::kNone,
               FeatureSet::kMetadataOnly};
-  std::vector<TargetEvaluation> evals =
-      pipeline_->EvaluateAllTargets(FastConfig(lr));
-  EXPECT_EQ(evals.size(), 8u);
-  StrategySummary summary = Summarize("LR", evals);
+  const SweepResult result =
+      pipeline_->EvaluateAllTargetsResumable(FastConfig(lr), SweepOptions{});
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.evaluations.size(), 8u);
+  StrategySummary summary = Summarize("LR", result.evaluations);
   EXPECT_EQ(summary.per_target_pearson.size(), 8u);
   EXPECT_TRUE(std::isfinite(summary.mean_pearson));
+}
+
+// A paper figure never mixes in a degraded target: EvaluateStrategy aborts
+// on the first failed one and names its error.
+TEST_F(PipelineTest, EvaluateStrategyAbortsOnAFailedTarget) {
+  // The sweep fans out over the thread pool, which a forked child lacks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Strategy lr{PredictorKind::kLinearRegression, GraphLearner::kNone,
+              FeatureSet::kMetadataOnly};
+  const PipelineConfig config = FastConfig(lr);
+  EXPECT_DEATH(
+      {
+        TG_CHECK(fault::InstallSpec("pipeline.target=hit:2").ok());
+        EvaluateStrategy(pipeline_.get(), config);
+      },
+      "TG_CHECK failed.*injected fault at pipeline.target");
 }
 
 TEST_F(PipelineTest, LoraEvaluationMethodChangesActuals) {

@@ -371,11 +371,8 @@ TEST_F(DistributedSweepTest, TwoProcessShardRaceIsIdempotent) {
       SweepFingerprint(FastConfig(), zoo::Modality::kImage);
   const std::vector<size_t> targets =
       zoo_->EvaluationTargets(zoo::Modality::kImage);
-  TargetEvaluation eval;
-  std::string error;
-  ASSERT_TRUE(
-      pipeline_->TryEvaluateTarget(FastConfig(), targets[0], &eval, &error))
-      << error;
+  const TargetEvaluation eval =
+      pipeline_->EvaluateTarget(FastConfig(), targets[0]);
 
   ASSERT_TRUE(WriteSweepShard(workdir, 0, fingerprint, eval).ok());
   const pid_t child = ::fork();
@@ -455,6 +452,53 @@ TEST_F(DistributedSweepTest, TwoConcurrentWorkersPartitionAndMergeIdentical) {
   std::remove(merged.c_str());
   Result<MergeReport> merge = MergeSweepShards(pipeline_.get(), FastConfig(),
                                                workdir, merged);
+  ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+  ASSERT_TRUE(merge.value().ok()) << merge.value().problems[0];
+  EXPECT_EQ(ReadAll(merged), ReadAll(serial));
+}
+
+// A target whose first attempt fails is rescued by the degraded retry; the
+// worker's shard for it must merge to the serial checkpoint's exact bytes.
+TEST_F(DistributedSweepTest, DegradedWorkerShardMergesBitIdenticalToSerial) {
+  SetThreadCount(1);
+  // Dataset-distance and LogME features: the metadata-only fallback predicts
+  // differently, so a degraded result cannot pass for a clean one.
+  PipelineConfig config;
+  config.strategy = Strategy{PredictorKind::kLinearRegression,
+                             GraphLearner::kNone, FeatureSet::kAllWithLogMe};
+  const std::string serial = TempPath("ds_degraded_serial.json");
+  std::remove(serial.c_str());
+  SweepOptions options;
+  options.checkpoint_path = serial;
+  ASSERT_TRUE(fault::InstallSpec("pipeline.target=hit:1").ok());
+  const SweepResult result =
+      pipeline_->EvaluateAllTargetsResumable(config, options);
+  fault::ClearFaults();
+  ASSERT_TRUE(result.complete);
+  ASSERT_EQ(result.degraded, 1u);
+  for (const TargetEvaluation& eval : result.evaluations) {
+    if (!eval.degraded) continue;
+    EXPECT_EQ(eval.retries, 1);
+    EXPECT_NE(eval.predicted,
+              pipeline_->EvaluateTarget(config, eval.target_dataset).predicted);
+  }
+
+  const std::string workdir = TempPath("ds_degraded");
+  RemoveTree(workdir);
+  ASSERT_TRUE(fault::InstallSpec("pipeline.target=hit:1").ok());
+  Result<WorkerReport> ran = RunSweepWorker(pipeline_.get(), config,
+                                            WorkerOptions(workdir, "w0"));
+  fault::ClearFaults();
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_TRUE(ran.value().complete);
+  EXPECT_EQ(ran.value().retried, 1u);
+  EXPECT_EQ(ran.value().degraded, 1u);
+  EXPECT_EQ(ran.value().failed, 0u);
+
+  const std::string merged = TempPath("ds_degraded_merged.json");
+  std::remove(merged.c_str());
+  Result<MergeReport> merge =
+      MergeSweepShards(pipeline_.get(), config, workdir, merged);
   ASSERT_TRUE(merge.ok()) << merge.status().ToString();
   ASSERT_TRUE(merge.value().ok()) << merge.value().problems[0];
   EXPECT_EQ(ReadAll(merged), ReadAll(serial));

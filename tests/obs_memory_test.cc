@@ -151,7 +151,8 @@ TEST_F(ObsMemoryTest, ConcurrentTrackingSumsAcrossThreads) {
 }
 
 // The determinism contract: allocation accounting must not perturb pipeline
-// numerics. EvaluateAllTargets exercises the parallel leave-one-out sweep.
+// numerics. EvaluateAllTargetsResumable exercises the parallel
+// leave-one-out sweep.
 TEST_F(ObsMemoryTest, PipelineOutputsIdenticalWithTrackingOnOrOff) {
   zoo::ModelZooConfig zoo_config;
   zoo_config.catalog.num_image_models = 32;
@@ -169,14 +170,14 @@ TEST_F(ObsMemoryTest, PipelineOutputsIdenticalWithTrackingOnOrOff) {
 
   core::Pipeline quiet_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> quiet =
-      quiet_pipeline.EvaluateAllTargets(config);
+      quiet_pipeline.EvaluateAllTargetsResumable(config, {}).evaluations;
 
   obs::SetMemoryTrackingEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetMetricsEnabled(true);
   core::Pipeline tracked_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> tracked =
-      tracked_pipeline.EvaluateAllTargets(config);
+      tracked_pipeline.EvaluateAllTargetsResumable(config, {}).evaluations;
 
   ASSERT_EQ(tracked.size(), quiet.size());
   for (size_t t = 0; t < quiet.size(); ++t) {

@@ -237,13 +237,13 @@ TEST_F(ObsProfilerTest, PipelineOutputsIdenticalWithProfilingOnOrOff) {
 
   core::Pipeline quiet_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> quiet =
-      quiet_pipeline.EvaluateAllTargets(config);
+      quiet_pipeline.EvaluateAllTargetsResumable(config, {}).evaluations;
 
   obs::SetPerfCountersEnabled(true);
   ASSERT_TRUE(obs::StartProfiler(499).ok());
   core::Pipeline profiled_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> profiled =
-      profiled_pipeline.EvaluateAllTargets(config);
+      profiled_pipeline.EvaluateAllTargetsResumable(config, {}).evaluations;
   ASSERT_TRUE(obs::StopProfiler().ok());
 
   ASSERT_EQ(profiled.size(), quiet.size());

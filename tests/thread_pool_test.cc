@@ -223,7 +223,7 @@ TEST_F(ThreadPoolTest, SmallGbdtFitStaysInline) {
 // End-to-end determinism: the full leave-one-out evaluation (walks,
 // skip-gram, forests, parallel targets, shared caches) must be bit-identical
 // at 1 and 4 threads. Fresh zoo + pipeline per run so no cache carries over.
-TEST_F(ThreadPoolTest, EvaluateAllTargetsBitIdenticalAcrossThreadCounts) {
+TEST_F(ThreadPoolTest, LeaveOneOutSweepBitIdenticalAcrossThreadCounts) {
   auto evaluate = [] {
     zoo::ModelZooConfig zc;
     zc.catalog.num_image_models = 32;
@@ -239,7 +239,10 @@ TEST_F(ThreadPoolTest, EvaluateAllTargetsBitIdenticalAcrossThreadCounts) {
     config.node2vec.skipgram.dim = 16;
     config.node2vec.skipgram.epochs = 1;
     config.predictor.gbdt.num_trees = 20;
-    return pipeline.EvaluateAllTargets(config);
+    core::SweepResult result =
+        pipeline.EvaluateAllTargetsResumable(config, core::SweepOptions{});
+    EXPECT_TRUE(result.complete);
+    return result.evaluations;
   };
   SetThreadCount(1);
   const std::vector<core::TargetEvaluation> serial = evaluate();

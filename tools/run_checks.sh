@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate: Release + ThreadSanitizer builds, both test suites (the TSan
 # pass covers the concurrent allocation tracking in obs_memory_test), an
-# UndefinedBehaviorSanitizer pass over the kernel layer, a kernel-backend
+# UndefinedBehaviorSanitizer pass over the kernel layer and the chaos and
+# distributed-sweep tests (any UB report fails it), a kernel-backend
 # dispatch gate (kernels_test, autograd_test and gnn_test under
 # TG_ISA=scalar and under the widest host-supported backend, plus a
 # forced-unavailable hard-error check), a
@@ -191,18 +192,26 @@ section "chaos gate: fault injection under ASan/UBSan"
 # The chaos tests randomize fault schedules across the sweep's I/O,
 # dispatch, and checkpoint paths; running them under
 # AddressSanitizer+UBSan catches the use-after-free / double-close /
-# leak bugs that error paths love to hide (see docs/robustness.md).
+# leak bugs that error paths love to hide (see docs/robustness.md). The
+# UBSan tree aborts on the first report (-fno-sanitize-recover=all), so a
+# UB finding fails this gate; only --skip-ubsan skips it.
 cmake -B build-asan -S . -DTG_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
     --target fault_injection_test chaos_pipeline_test
 ./build-asan/tests/fault_injection_test
 ./build-asan/tests/chaos_pipeline_test
-cmake --build build-ubsan -j "$JOBS" \
-    --target fault_injection_test chaos_pipeline_test 2>/dev/null && {
-  ./build-ubsan/tests/fault_injection_test
-  ./build-ubsan/tests/chaos_pipeline_test
-} || echo "(UBSan tree unavailable; ASan chaos pass already ran)"
+UBSAN_CHAOS_TESTS="fault_injection_test chaos_pipeline_test \
+    distributed_sweep_test"
+if [ "$SKIP_UBSAN" -eq 1 ]; then
+  echo "(UBSan chaos pass SKIPPED; ASan chaos pass already ran)"
+else
+  # shellcheck disable=SC2086
+  cmake --build build-ubsan -j "$JOBS" --target $UBSAN_CHAOS_TESTS
+  for t in $UBSAN_CHAOS_TESTS; do
+    "./build-ubsan/tests/$t"
+  done
+fi
 
 section "chaos gate: tg_cli under injected I/O fault"
 # An injected write fault must surface as a clean Status + non-zero exit --
