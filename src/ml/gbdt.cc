@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "ml/binning.h"
-#include "numeric/kernels.h"
 #include "numeric/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,6 +19,55 @@ struct NodeStats {
   double g = 0.0;
   double h = 0.0;
 };
+
+// Two doubles in one SSE2 (x86-64) or NEON (aarch64) register. Packed
+// add and division are correctly rounded, and no FMA contraction applies
+// (ISO mode, base ISA flags), so each lane computes exactly the scalar
+// expression.
+using Double2 = double __attribute__((vector_size(16)));
+
+// Histogram bytes of one feature block: its bins stay in L1 while the
+// node's rows scatter into them.
+constexpr size_t kBlockHistBytes = 16 * 1024;
+
+// Rows scattered per pass over a block's features; they share each
+// feature's slot load and loop overhead.
+constexpr size_t kRowsPerPass = 4;
+
+// XGBoost split gain for a left child (left_g, left_h) of a node with
+// totals (total_g, total_h); V is double or Double2, one formula for both.
+template <typename V>
+inline V SplitGain(V left_g, V left_h, double total_g, double total_h,
+                   double lambda, double parent_score, double gamma) {
+  const V right_g = total_g - left_g;
+  const V right_h = total_h - left_h;
+  return 0.5 * (left_g * left_g / (left_h + lambda) +
+                right_g * right_g / (right_h + lambda) - parent_score) -
+         gamma;
+}
+
+// Adds R rows' {g_i, h_i = 1} into their bin of each of a block's `width`
+// features. `codes` points at the block's first code column (row stride
+// `stride`), `slots[k]` is feature k's bin 0 in `hist`. Each bin receives
+// its adds in row order. The row loops must unroll so `gh` and `row_codes`
+// stay in registers; -O2 alone keeps them in memory.
+template <size_t R>
+inline void ScatterRows(const size_t* rows, const double* grad,
+                        const uint8_t* codes, size_t stride,
+                        const size_t* slots, size_t width, Double2* hist) {
+  Double2 gh[R];
+  const uint8_t* row_codes[R];
+#pragma GCC unroll 4
+  for (size_t q = 0; q < R; ++q) {
+    gh[q] = Double2{grad[rows[q]], 1.0};
+    row_codes[q] = codes + rows[q] * stride;
+  }
+  for (size_t k = 0; k < width; ++k) {
+    Double2* feature_hist = hist + slots[k];
+#pragma GCC unroll 4
+    for (size_t q = 0; q < R; ++q) feature_hist[row_codes[q][k]] += gh[q];
+  }
+}
 
 // Same flush-once-per-event-batch pattern as the decision tree counters:
 // disabled runs pay one predictable branch.
@@ -53,6 +101,16 @@ Status Gbdt::Fit(const TabularDataset& data) {
   if (data.y.size() != data.num_rows()) {
     return Status::InvalidArgument("target size mismatch");
   }
+  if (config_.num_trees < 1) {
+    return Status::InvalidArgument("num_trees must be at least 1");
+  }
+  // Bin codes are one byte each.
+  if (config_.max_bins < 2 || config_.max_bins > 256) {
+    return Status::InvalidArgument("max_bins must be in [2, 256]");
+  }
+  if (!(config_.subsample > 0.0 && config_.subsample <= 1.0)) {
+    return Status::InvalidArgument("subsample must be in (0, 1]");
+  }
   const size_t n = data.num_rows();
   const size_t d = data.num_features();
 
@@ -61,12 +119,14 @@ Status Gbdt::Fit(const TabularDataset& data) {
   feature_gains_.assign(d, 0.0);
   base_score_ = Mean(data.y);
 
-  // Bin the feature matrix once (column major for histogram accumulation).
-  // Features bin independently; parallel over features -- but only when the
-  // n x d binning work can amortize pool dispatch (small feature counts pay
-  // more queue/wakeup overhead than the fan-out saves).
+  // Bin the feature matrix once. Features bin independently; parallel over
+  // features -- but only when the n x d binning work can amortize pool
+  // dispatch. The split search then reads one row-major code matrix over
+  // the features with edges (a constant column can never split): `active`
+  // maps its columns back to feature indices.
   std::vector<std::vector<double>> edges(d);
-  std::vector<std::vector<uint16_t>> binned(d);
+  std::vector<size_t> active;
+  std::vector<uint8_t> codes(n * d);
   {
     TG_TRACE_SPAN("bin_build");
     ParallelForIfWorth(
@@ -75,13 +135,51 @@ Status Gbdt::Fit(const TabularDataset& data) {
           for (size_t f = begin; f < end; ++f) {
             for (size_t r = 0; r < n; ++r) column[r] = data.x(r, f);
             edges[f] = ComputeBinEdges(column.data(), n, config_.max_bins);
-            binned[f].resize(n);
             for (size_t r = 0; r < n; ++r) {
-              binned[f][r] = BinOf(column[r], edges[f]);
+              codes[r * d + f] =
+                  static_cast<uint8_t>(BinOf(column[r], edges[f]));
             }
           }
         });
+    for (size_t f = 0; f < d; ++f) {
+      if (!edges[f].empty()) active.push_back(f);
+    }
   }
+  const size_t m = active.size();
+  // Drop the constant columns in place: code (r, j) moves down from
+  // r * d + active[j] to r * m + j, below every code not yet moved.
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t j = 0; j < m; ++j) codes[r * m + j] = codes[r * d + active[j]];
+  }
+  codes.resize(n * m);
+
+  // Histogram slots: active feature j owns bins [offset[j], offset[j + 1])
+  // of one buffer. Consecutive features group into blocks of at most
+  // kBlockHistBytes of histogram (at least one feature each); blocks own
+  // disjoint slot ranges, so they fill and scan concurrently without
+  // per-thread copies.
+  std::vector<size_t> offset(m + 1, 0);
+  std::vector<size_t> block_begin;
+  size_t block_bytes = 0;
+  for (size_t j = 0; j < m; ++j) {
+    const size_t bins = edges[active[j]].size() + 1;
+    offset[j + 1] = offset[j] + bins;
+    const size_t bytes = bins * sizeof(Double2);
+    if (j == 0 || block_bytes + bytes > kBlockHistBytes) {
+      block_begin.push_back(j);
+      block_bytes = 0;
+    }
+    block_bytes += bytes;
+  }
+  block_begin.push_back(m);
+
+  // Per-fit scratch, reused by every node of every tree.
+  std::vector<Double2> hist(offset[m]);
+  std::vector<double> feature_best_gain(m);
+  std::vector<uint8_t> feature_best_bin(m);
+  std::vector<uint64_t> block_evals(block_begin.size() - 1);
+  std::vector<size_t> rows;
+  rows.reserve(n);
 
   std::vector<double> predictions(n, base_score_);
   std::vector<double> grad(n);
@@ -94,7 +192,7 @@ Status Gbdt::Fit(const TabularDataset& data) {
     for (size_t i = 0; i < n; ++i) grad[i] = predictions[i] - data.y[i];
 
     // Row sample for this tree.
-    std::vector<size_t> rows;
+    rows.clear();
     if (config_.subsample >= 1.0) {
       rows.resize(n);
       std::iota(rows.begin(), rows.end(), 0);
@@ -110,12 +208,103 @@ Status Gbdt::Fit(const TabularDataset& data) {
     struct Builder {
       const GbdtConfig& config;
       const std::vector<std::vector<double>>& edges;
-      const std::vector<std::vector<uint16_t>>& binned;
+      const std::vector<size_t>& active;
+      const std::vector<uint8_t>& codes;
+      const std::vector<size_t>& offset;
+      const std::vector<size_t>& block_begin;
       const std::vector<double>& grad;
+      std::vector<Double2>& hist;
+      std::vector<double>& feature_best_gain;
+      std::vector<uint8_t>& feature_best_bin;
+      std::vector<uint64_t>& block_evals;
       Tree& tree;
       std::vector<size_t>& rows;
       double lambda;
       std::vector<double>& feature_gains;
+
+      // Fills the histograms of block features [j0, j1) over the node's
+      // rows, then scans each for its best split; returns the number of
+      // gains evaluated.
+      uint64_t ScanBlock(size_t j0, size_t j1, size_t begin, size_t end,
+                         const NodeStats& total, double parent_score) {
+        Double2* bins = hist.data();
+        std::fill(bins + offset[j0], bins + offset[j1], Double2{0.0, 0.0});
+        // Each row's gradient is loaded once per block and scattered into
+        // every block feature's bin as a {g, 1} pair: lane 0 sums gradients,
+        // lane 1 counts rows in exact double integers. Every (feature, bin)
+        // sum still receives its adds in row order, exactly as a
+        // per-feature pass would, so the sums are bit-identical to it.
+        const uint8_t* block_codes = codes.data() + j0;
+        const size_t stride = active.size();
+        const size_t* slots = offset.data() + j0;
+        const size_t width = j1 - j0;
+        size_t i = begin;
+        for (; i + kRowsPerPass <= end; i += kRowsPerPass) {
+          ScatterRows<kRowsPerPass>(rows.data() + i, grad.data(), block_codes,
+                                    stride, slots, width, bins);
+        }
+        for (; i < end; ++i) {
+          ScatterRows<1>(rows.data() + i, grad.data(), block_codes, stride,
+                         slots, width, bins);
+        }
+
+        uint64_t evals = 0;
+        double left_g[256];
+        double left_h[256];
+        for (size_t j = j0; j < j1; ++j) {
+          const Double2* bin = bins + offset[j];
+          // Splits after bins 0 .. splits - 1; the last bin has no split.
+          const size_t splits = offset[j + 1] - offset[j] - 1;
+          Double2 left = {0.0, 0.0};
+          for (size_t b = 0; b < splits; ++b) {
+            left += bin[b];
+            left_g[b] = left[0];
+            left_h[b] = left[1];
+          }
+          // left.h is an exact non-decreasing count and right.h = total.h -
+          // left.h, so the splits passing min_child_weight on both sides
+          // are one contiguous range [lo, hi).
+          size_t lo = 0;
+          while (lo < splits && left_h[lo] < config.min_child_weight) ++lo;
+          size_t hi = splits;
+          while (hi > lo &&
+                 total.h - left_h[hi - 1] < config.min_child_weight) {
+            --hi;
+          }
+          evals += hi - lo;
+          // Gains two at a time, then a scalar tail; the arg-best takes the
+          // same strict `>` in ascending split order as a one-by-one scan.
+          double best_gain = 0.0;
+          size_t best_bin = 0;
+          size_t b = lo;
+          for (; b + 2 <= hi; b += 2) {
+            const Double2 gain = SplitGain(
+                Double2{left_g[b], left_g[b + 1]},
+                Double2{left_h[b], left_h[b + 1]}, total.g, total.h, lambda,
+                parent_score, config.gamma);
+            if (gain[0] > best_gain) {
+              best_gain = gain[0];
+              best_bin = b;
+            }
+            if (gain[1] > best_gain) {
+              best_gain = gain[1];
+              best_bin = b + 1;
+            }
+          }
+          for (; b < hi; ++b) {
+            const double gain =
+                SplitGain(left_g[b], left_h[b], total.g, total.h, lambda,
+                          parent_score, config.gamma);
+            if (gain > best_gain) {
+              best_gain = gain;
+              best_bin = b;
+            }
+          }
+          feature_best_gain[j] = best_gain;
+          feature_best_bin[j] = static_cast<uint8_t>(best_bin);
+        }
+        return evals;
+      }
 
       int Build(size_t begin, size_t end, int depth) {
         NodeStats total;
@@ -133,86 +322,53 @@ Status Gbdt::Fit(const TabularDataset& data) {
           return node_index;
         }
 
-        // Best histogram split across all features. Each feature's scan is
-        // independent, so the search fans out over the pool; the arg-best
-        // reduction below runs in feature order with the same strict `>` as
-        // a sequential scan, keeping the chosen split bit-identical for any
-        // thread count.
+        // Best histogram split across all features. Feature blocks fill
+        // and scan independently, so the search fans out over the pool;
+        // the arg-best reduction below runs in feature order with the same
+        // strict `>` as a sequential scan, keeping the chosen split
+        // bit-identical for any thread count. Histogram work is (rows x
+        // features); ParallelForIfWorth fans out only when the node is
+        // large enough for the dispatch to pay for itself and runs inline
+        // (same chunking) otherwise.
         const double parent_score = total.g * total.g / (total.h + lambda);
-        const size_t num_features = binned.size();
-        std::vector<double> feature_best_gain(num_features, 0.0);
-        std::vector<uint16_t> feature_best_bin(num_features, 0);
-        // SoA histogram halves (gradient sums, then hessian counts) feed
-        // the backend hist_accumulate kernel; the scatter adds run in the
-        // same index order the old AoS loop used, so accumulated g/h -- and
-        // therefore every split -- are bit-identical to it.
-        const auto scan_feature = [&](size_t f, std::vector<double>* hist) {
-          if (edges[f].empty()) return;
-          const size_t nb = edges[f].size() + 1;
-          hist->assign(2 * nb, 0.0);
-          double* gsum = hist->data();
-          double* hcount = hist->data() + nb;
-          kernels::HistAccumulate(binned[f].data(), rows.data() + begin,
-                                  end - begin, grad.data(), gsum, hcount);
-          uint64_t evals = 0;
-          NodeStats left;
-          for (size_t b = 0; b + 1 < nb; ++b) {
-            left.g += gsum[b];
-            left.h += hcount[b];
-            const NodeStats right{total.g - left.g, total.h - left.h};
-            if (left.h < config.min_child_weight ||
-                right.h < config.min_child_weight) {
-              continue;
-            }
-            ++evals;
-            const double gain =
-                0.5 * (left.g * left.g / (left.h + lambda) +
-                       right.g * right.g / (right.h + lambda) -
-                       parent_score) -
-                config.gamma;
-            if (gain > feature_best_gain[f]) {
-              feature_best_gain[f] = gain;
-              feature_best_bin[f] = static_cast<uint16_t>(b);
-            }
-          }
-          BumpGbdtCounters(evals, 0);
-        };
-        // Histogram work is (rows x features); ParallelForIfWorth fans out
-        // only when the node is large enough for the dispatch to pay for
-        // itself and runs inline (same chunking) otherwise.
+        const size_t num_features = edges.size();
         {
           TG_TRACE_SPAN("split_search");
           ParallelForIfWorth(
-              0, num_features, 1, (end - begin) * num_features,
-              [&](size_t f_begin, size_t f_end, size_t /*chunk*/) {
-                std::vector<double> hist;
-                for (size_t f = f_begin; f < f_end; ++f) {
-                  scan_feature(f, &hist);
+              0, block_evals.size(), 1, (end - begin) * num_features,
+              [&](size_t b_begin, size_t b_end, size_t /*chunk*/) {
+                for (size_t k = b_begin; k < b_end; ++k) {
+                  block_evals[k] = ScanBlock(block_begin[k],
+                                             block_begin[k + 1], begin, end,
+                                             total, parent_score);
                 }
               });
         }
         // One histogram build per node (covering all features), matching the
         // decision tree's hist engine so tree.hist_builds has uniform units.
-        BumpGbdtCounters(0, 1);
+        BumpGbdtCounters(
+            std::accumulate(block_evals.begin(), block_evals.end(),
+                            uint64_t{0}),
+            1);
         double best_gain = 0.0;
-        size_t best_feature = 0;
-        uint16_t best_bin = 0;
-        for (size_t f = 0; f < num_features; ++f) {
-          if (feature_best_gain[f] > best_gain) {
-            best_gain = feature_best_gain[f];
-            best_feature = f;
-            best_bin = feature_best_bin[f];
+        size_t best_j = 0;
+        for (size_t j = 0; j < active.size(); ++j) {
+          if (feature_best_gain[j] > best_gain) {
+            best_gain = feature_best_gain[j];
+            best_j = j;
           }
         }
         if (best_gain <= 0.0) return node_index;
 
-        const auto& fbins = binned[best_feature];
+        const size_t m = active.size();
+        const uint8_t best_bin = feature_best_bin[best_j];
         auto middle = std::partition(
             rows.begin() + static_cast<long>(begin),
             rows.begin() + static_cast<long>(end),
-            [&](size_t r) { return fbins[r] <= best_bin; });
+            [&](size_t r) { return codes[r * m + best_j] <= best_bin; });
         const size_t mid = static_cast<size_t>(middle - rows.begin());
         if (mid == begin || mid == end) return node_index;
+        const size_t best_feature = active[best_j];
         feature_gains[best_feature] += best_gain;
 
         const int left_child = Build(begin, mid, depth + 1);
@@ -226,8 +382,11 @@ Status Gbdt::Fit(const TabularDataset& data) {
       }
     };
 
-    Builder builder{config_, edges,  binned,        grad,
-                    tree,    rows,   lambda,        feature_gains_};
+    Builder builder{config_,           edges,       active,  codes,
+                    offset,            block_begin, grad,    hist,
+                    feature_best_gain, feature_best_bin,
+                    block_evals,       tree,        rows,    lambda,
+                    feature_gains_};
     {
       TG_TRACE_SPAN("tree_fit");
       builder.Build(0, rows.size(), 0);

@@ -4,6 +4,15 @@
 // histogram-binned features (quantile bin edges) for fast exact-enough
 // splits, shrinkage, and optional row subsampling.
 // Paper §VI-C settings: 500 trees, max depth 5.
+//
+// Split search (LightGBM-style row-wise histograms, Ke et al. 2017): bin
+// codes are one row-major byte matrix over the non-constant features, so
+// max_bins is at most 256. Each node walks its rows once per block of
+// features whose histograms fit in L1, then scans each feature's prefix
+// sums over the contiguous range of bins that satisfy min_child_weight,
+// two gains at a time. Every histogram sum keeps the row order of a
+// per-feature pass and every gain its scalar rounding, so fits are
+// bit-identical for any thread count and numeric backend.
 #ifndef TG_ML_GBDT_H_
 #define TG_ML_GBDT_H_
 
@@ -16,14 +25,14 @@
 namespace tg::ml {
 
 struct GbdtConfig {
-  int num_trees = 500;
+  int num_trees = 500;         // at least 1
   int max_depth = 5;
   double learning_rate = 0.1;  // shrinkage eta
   double lambda = 1.0;         // L2 on leaf weights
   double gamma = 0.0;          // complexity penalty per split
   double min_child_weight = 1.0;
-  double subsample = 1.0;      // row subsample fraction per tree
-  int max_bins = 64;
+  double subsample = 1.0;      // row subsample fraction per tree, in (0, 1]
+  int max_bins = 64;           // in [2, 256]: bin codes are one byte
   uint64_t seed = 23;
 };
 

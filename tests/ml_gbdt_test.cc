@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,63 @@ TabularDataset NonlinearData(size_t n, uint64_t seed, double noise = 0.05) {
                 0.3 * data.x(i, 3) + noise * rng.NextGaussian();
   }
   return data;
+}
+
+// FNV-1a over the "%.17g" text of every fitted output: predictions on the
+// training rows, then FeatureImportances(), then train_rmse_curve(). Equal
+// hashes mean bit-equal outputs.
+uint64_t FitHash(const GbdtConfig& config, const TabularDataset& data) {
+  Gbdt model(config);
+  EXPECT_TRUE(model.Fit(data).ok());
+  std::string text;
+  char buf[32];
+  const auto append = [&](const std::vector<double>& values) {
+    for (double v : values) {
+      std::snprintf(buf, sizeof(buf), "%.17g\n", v);
+      text += buf;
+    }
+    text += "|";
+  };
+  append(model.PredictBatch(data.x));
+  append(model.FeatureImportances());
+  append(model.train_rmse_curve());
+  uint64_t hash = 1469598103934665603ULL;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// Pins the GBDT's exact output bits, so a rewrite of the split search (bin
+// layout, histogram order, gain evaluation) cannot move a single prediction
+// unnoticed. The data has a constant column (no edges, never split on) and
+// a three-valued column (fewer distinct values than bins). The last config
+// turns off every guard on the scan range: with min_child_weight = 0 and
+// lambda = 0 an empty side gives 0/0 = NaN gains, which must never win.
+TEST(GbdtTest, PredictionsPinnedAcrossRewrite) {
+  TabularDataset data = NonlinearData(300, 21);
+  Matrix x(300, 7);
+  for (size_t r = 0; r < 300; ++r) {
+    for (size_t c = 0; c < 5; ++c) x(r, c) = data.x(r, c);
+    x(r, 5) = 1.0;
+    x(r, 6) = static_cast<double>(r % 3);
+    data.y[r] += 0.5 * x(r, 6);
+  }
+  data.x = x;
+
+  GbdtConfig defaults;
+  GbdtConfig subsampled;
+  subsampled.subsample = 0.5;
+  GbdtConfig coarse;
+  coarse.max_bins = 8;
+  coarse.min_child_weight = 0.0;
+  coarse.lambda = 0.0;
+  coarse.gamma = 0.1;
+
+  EXPECT_EQ(FitHash(defaults, data), 0xb01ef664b6890251ULL);
+  EXPECT_EQ(FitHash(subsampled, data), 0x92258d311c97773bULL);
+  EXPECT_EQ(FitHash(coarse, data), 0x4477dd98f92d9c2bULL);
 }
 
 TEST(GbdtTest, TrainRmseDecreasesMonotonically) {
@@ -140,6 +200,41 @@ TEST(GbdtTest, RejectsInvalidInput) {
   Gbdt model;
   TabularDataset empty;
   EXPECT_FALSE(model.Fit(empty).ok());
+
+  // Configs the fit cannot honour: bin codes are one byte and need at least
+  // one edge, a row sample needs a positive fraction of at most one, and
+  // Predict needs a tree.
+  const TabularDataset data = NonlinearData(50, 10);
+  const auto rejects = [&](const GbdtConfig& config) {
+    Gbdt bad(config);
+    const Status status = bad.Fit(data);
+    return !status.ok() && status.code() == StatusCode::kInvalidArgument;
+  };
+  for (int max_bins : {-1, 0, 1, 257, 65536}) {
+    GbdtConfig config;
+    config.max_bins = max_bins;
+    EXPECT_TRUE(rejects(config)) << "max_bins " << max_bins;
+  }
+  for (double subsample : {0.0, -0.5, 1.5, std::nan("")}) {
+    GbdtConfig config;
+    config.subsample = subsample;
+    EXPECT_TRUE(rejects(config)) << "subsample " << subsample;
+  }
+  for (int num_trees : {0, -3}) {
+    GbdtConfig config;
+    config.num_trees = num_trees;
+    EXPECT_TRUE(rejects(config)) << "num_trees " << num_trees;
+  }
+  // The edges of the valid ranges still fit.
+  GbdtConfig edge;
+  edge.num_trees = 1;
+  edge.max_bins = 2;
+  edge.subsample = 1e-9;
+  EXPECT_TRUE(Gbdt(edge).Fit(data).ok());
+  // 600 distinct values per column fill all 256 bins, so codes reach 255.
+  edge.max_bins = 256;
+  edge.subsample = 1.0;
+  EXPECT_TRUE(Gbdt(edge).Fit(NonlinearData(600, 11)).ok());
 }
 
 }  // namespace

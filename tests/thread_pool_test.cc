@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -218,6 +219,51 @@ TEST_F(ThreadPoolTest, SmallGbdtFitStaysInline) {
   ml::Gbdt gbdt(config);
   ASSERT_TRUE(gbdt.Fit(data).ok());
   EXPECT_GT(inline_runs.value(), before);
+}
+
+// The GBDT split search fans out over feature blocks once a node's
+// rows x features estimate clears kMinParallelWork. Each block fills its own
+// slice of the histogram buffer and the arg-best reduction runs in feature
+// order, so the fitted model must be bit-identical at 1 and 4 threads.
+TEST_F(ThreadPoolTest, GbdtFeatureBlockFanOutBitIdenticalAcrossThreadCounts) {
+  ml::TabularDataset data;
+  const size_t n = 2000, d = 64;
+  Rng rng(17);
+  data.x = Matrix(n, d);
+  data.y.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < d; ++c) data.x(r, c) = rng.NextGaussian();
+    data.y[r] = data.x(r, 0) * data.x(r, 1) + std::sin(data.x(r, 2)) +
+                rng.NextGaussian(0.0, 0.1);
+  }
+  ml::GbdtConfig config;
+  config.num_trees = 10;
+  struct Fitted {
+    std::vector<double> predictions, importances, rmse_curve;
+  };
+  const auto fit = [&] {
+    ml::Gbdt gbdt(config);
+    EXPECT_TRUE(gbdt.Fit(data).ok());
+    return Fitted{gbdt.PredictBatch(data.x), gbdt.FeatureImportances(),
+                  gbdt.train_rmse_curve()};
+  };
+  SetThreadCount(1);
+  const Fitted serial = fit();
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  obs::Counter& calls = registry.GetCounter("thread_pool.parallel_for.calls");
+  obs::Counter& tasks = registry.GetCounter("thread_pool.tasks");
+  SetThreadCount(4);
+  const uint64_t calls_before = calls.value();
+  const uint64_t tasks_before = tasks.value();
+  const Fitted parallel = fit();
+  EXPECT_GT(calls.value(), calls_before);
+  EXPECT_GT(tasks.value(), tasks_before);
+
+  // Exact double comparison on purpose: the contract is bit-identity.
+  EXPECT_EQ(serial.predictions, parallel.predictions);
+  EXPECT_EQ(serial.importances, parallel.importances);
+  EXPECT_EQ(serial.rmse_curve, parallel.rmse_curve);
 }
 
 // End-to-end determinism: the full leave-one-out evaluation (walks,

@@ -81,10 +81,11 @@ section "kernel backend dispatch gate"
 # with dispatch forced to the exact-order scalar backend AND under the
 # widest backend this binary+CPU supports (what TG_ISA=auto resolves to):
 # the fused message-passing ops stay bit-identical only while no vector
-# backend contracts their mul+add to FMA. `tg_cli backend` prints both
-# facts; forcing a backend that does not exist must be a hard error, never
-# a silent fallback (see docs/performance.md).
-DISPATCH_TESTS="kernels_test autograd_test gnn_test"
+# backend contracts their mul+add to FMA. The GBDT suite pins its output
+# bits, which must not depend on the backend either. `tg_cli backend`
+# prints both facts; forcing a backend that does not exist must be a hard
+# error, never a silent fallback (see docs/performance.md).
+DISPATCH_TESTS="kernels_test autograd_test gnn_test ml_gbdt_test"
 # shellcheck disable=SC2086
 cmake --build build-release -j "$JOBS" --target $DISPATCH_TESTS tg_cli
 ./build-release/tools/tg_cli backend
