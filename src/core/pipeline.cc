@@ -115,7 +115,6 @@ std::string EmbeddingConfigKey(const PipelineConfig& config) {
   Put("lr", sg.initial_lr, &key);
   Put("minlr", sg.min_lr_fraction, &key);
   Put("pow", sg.sampling_power, &key);
-  Put("par", sg.parallel, &key);
   Put("shards", sg.num_shards, &key);
 
   Put("sage.hid", config.sage.hidden_dim, &key);

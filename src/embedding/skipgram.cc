@@ -40,10 +40,10 @@ std::vector<std::pair<uint32_t, uint32_t>> FlattenPositions(
 // context radius, then for each context word train the positive pair plus
 // `negatives` negative samples, applying the center gradient after each pair
 // (word2vec update order). The pair math lives in
-// kernels::FusedDotSigmoidUpdate. Shared by both parallel modes; all
-// randomness comes from `prng`, which callers fork off the position's global
-// index. `touched_in` / `touched_out` (nullable) flag the input/output rows
-// this position wrote, feeding the sharded dirty-row merge.
+// kernels::FusedDotSigmoidUpdate. All randomness comes from `prng`, which
+// callers fork off the position's global index. `touched_in` / `touched_out`
+// flag the input/output rows this position wrote, feeding the dirty-row
+// merge.
 // Prefetches the head of an embedding row; the hardware streamer follows the
 // rest of the (64B-aligned, contiguous) row once the first lines are inbound.
 inline void PrefetchRow(const double* row, size_t dim) {
@@ -69,11 +69,11 @@ void UpdateOnePosition(const std::vector<uint32_t>& walk, uint32_t pos,
                static_cast<size_t>(pos) + static_cast<size_t>(radius) + 1);
   double* w = input->RowPtr(center);
   double* center_grad = center_grad_buf->data();
-  if (touched_in != nullptr) touched_in[center] = 1;
+  touched_in[center] = 1;
   auto train_pair = [&](uint32_t context, double label) {
     kernels::FusedDotSigmoidUpdate(w, output->RowPtr(context), center_grad,
                                    dim, label, lr);
-    if (touched_out != nullptr) touched_out[context] = 1;
+    touched_out[context] = 1;
   };
   for (size_t ctx_pos = lo_ctx; ctx_pos < hi_ctx; ++ctx_pos) {
     if (ctx_pos == pos) continue;
@@ -162,11 +162,7 @@ void SkipGramTrainer::Train(const std::vector<std::vector<uint32_t>>& corpus,
   stream.window = config_.window;
   stream.negatives = config_.negatives;
 
-  if (config_.parallel == SkipGramParallelMode::kHogwild) {
-    TrainHogwild(corpus, stream, rng);
-  } else {
-    TrainSharded(corpus, stream, rng);
-  }
+  TrainSharded(corpus, stream, rng);
 }
 
 void SkipGramTrainer::TrainSharded(
@@ -303,43 +299,6 @@ void SkipGramTrainer::MergeShards(
   };
   merge_matrix(&input_, rep_in, touched_in);
   merge_matrix(&output_, rep_out, touched_out);
-}
-
-void SkipGramTrainer::TrainHogwild(
-    const std::vector<std::vector<uint32_t>>& corpus, const PairStream& stream,
-    Rng* rng) {
-  const size_t dim = config_.dim;
-  std::vector<size_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  size_t epoch_base = 0;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    TG_TRACE_SPAN("skipgram_epoch");
-    rng->Shuffle(&order);
-    const auto positions = FlattenPositions(corpus, order);
-
-    // Lock-free updates straight into the shared matrices; races between
-    // positions touching the same rows are the accepted Hogwild tradeoff.
-    ParallelFor(0, positions.size(), 256,
-                [&](size_t lo, size_t hi, size_t /*chunk*/) {
-                  std::vector<double> center_grad(dim);
-                  std::vector<uint32_t> neg_buf;
-                  neg_buf.reserve(
-                      static_cast<size_t>(std::max(stream.negatives, 1)));
-                  for (size_t i = lo; i < hi; ++i) {
-                    const auto& [wi, pos] = positions[i];
-                    Rng prng = rng->Fork(kPositionStreamBase + epoch_base + i);
-                    UpdateOnePosition(corpus[wi], pos,
-                                      stream.LrAt(epoch_base + i),
-                                      stream.window, stream.negatives,
-                                      *stream.sampler, &prng, dim, &input_,
-                                      &output_, &center_grad, &neg_buf,
-                                      /*touched_in=*/nullptr,
-                                      /*touched_out=*/nullptr);
-                  }
-                });
-    epoch_base += positions.size();
-  }
 }
 
 double SkipGramTrainer::PairProbability(uint32_t center,

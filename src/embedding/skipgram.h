@@ -2,24 +2,19 @@
 // Random-walk node embedding methods treat walks as sentences and nodes as
 // words; the trained input embeddings are the node representations.
 //
-// Two parallel training modes (docs/threading.md):
-//   * kSharded (default): deterministic parameter-mixing SGD. Each epoch
-//     splits the shuffled position stream into a fixed number of shards;
-//     every shard trains online on its own replica of the parameters (each
-//     position's randomness forked from its global index), and the replicas
-//     are averaged in shard order at the epoch boundary -- only over the
-//     rows some shard actually touched (dirty-row merge; untouched rows are
-//     provably equal across replicas, see docs/performance.md). The shard
-//     count never depends on the thread count, so results are bit-identical
-//     for any TG_THREADS value.
+// Training is deterministic parameter-mixing SGD (docs/threading.md). Each
+// epoch splits the shuffled position stream into a fixed number of shards;
+// every shard trains online on its own replica of the parameters (each
+// position's randomness forked from its global index), and the replicas are
+// averaged in shard order at the epoch boundary -- only over the rows some
+// shard actually touched (dirty-row merge; untouched rows are provably equal
+// across replicas, see docs/performance.md). The shard count never depends
+// on the thread count, so results are bit-identical for any TG_THREADS
+// value.
 //
 // Dense inner loops (dot, fused pair update, replica merge) run through the
 // vectorized kernel layer in numeric/kernels.h, which also supplies the
 // tabulated training sigmoid (TG_EXACT_SIGMOID escapes to the exact form).
-//   * kHogwild (opt-in): lock-free asynchronous updates on the shared
-//     parameters across the pool (Recht et al. 2011). Fastest and closest
-//     to sequential SGD dynamics, but update interleaving makes results
-//     run-to-run nondeterministic when more than one thread is used.
 #ifndef TG_EMBEDDING_SKIPGRAM_H_
 #define TG_EMBEDDING_SKIPGRAM_H_
 
@@ -32,8 +27,6 @@
 
 namespace tg {
 
-enum class SkipGramParallelMode { kSharded, kHogwild };
-
 struct SkipGramConfig {
   size_t dim = 128;
   int window = 5;        // maximum context radius; actual radius is sampled
@@ -42,17 +35,16 @@ struct SkipGramConfig {
   double initial_lr = 0.025;
   double min_lr_fraction = 1e-3;  // lr decays linearly to initial*fraction
   double sampling_power = 0.75;   // unigram exponent for negatives
-  SkipGramParallelMode parallel = SkipGramParallelMode::kSharded;
-  // Sharded mode: parameter replicas trained per epoch (clamped to the
-  // number of token positions). Part of the determinism contract -- never
-  // derived from the thread count.
+  // Parameter replicas trained per epoch (clamped to the number of token
+  // positions). Part of the determinism contract -- never derived from the
+  // thread count.
   size_t num_shards = 8;
-  // Sharded mode: when false (default) the epoch-boundary parameter mixing
-  // only gathers rows some shard actually touched across the replicas;
-  // untouched rows take the same replicated-copy average from the base value
-  // alone (kernels::ReplicatedMean), which is bit-identical to the
-  // full-matrix merge because untouched replica rows are exact copies of the
-  // base. `true` forces the full vocab x dim cross-replica merge -- the
+  // When false (default) the epoch-boundary parameter mixing only gathers
+  // rows some shard actually touched across the replicas; untouched rows
+  // take the same replicated-copy average from the base value alone
+  // (kernels::ReplicatedMean), which is bit-identical to the full-matrix
+  // merge because untouched replica rows are exact copies of the base.
+  // `true` forces the full vocab x dim cross-replica merge -- the
   // pre-dirty-row reference path kept for tests and debugging
   // (tests/kernels_test.cc asserts both paths agree bit-for-bit).
   bool full_matrix_merge = false;
@@ -63,9 +55,8 @@ class SkipGramTrainer {
   // vocab_size must exceed every token id in the corpus.
   SkipGramTrainer(size_t vocab_size, const SkipGramConfig& config);
 
-  // Trains on the corpus (list of token sequences). In kSharded mode the
-  // result is deterministic for a fixed (corpus, seed) at any thread count;
-  // in kHogwild mode it is deterministic only with a single thread.
+  // Trains on the corpus (list of token sequences). The result is
+  // deterministic for a fixed (corpus, seed) at any thread count.
   void Train(const std::vector<std::vector<uint32_t>>& corpus, Rng* rng);
 
   // Input ("center") embeddings: vocab_size x dim.
@@ -78,8 +69,6 @@ class SkipGramTrainer {
   struct PairStream;  // per-position sampling state (defined in the .cc)
 
   void TrainSharded(const std::vector<std::vector<uint32_t>>& corpus,
-                    const PairStream& stream, Rng* rng);
-  void TrainHogwild(const std::vector<std::vector<uint32_t>>& corpus,
                     const PairStream& stream, Rng* rng);
   // Epoch-boundary parameter mixing (dirty-row or full-matrix, per config).
   void MergeShards(const std::vector<Matrix>& rep_in,

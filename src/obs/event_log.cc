@@ -6,12 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/thread_state.h"
 #include "obs/trace.h"
 #include "util/json_util.h"
 
@@ -23,82 +23,8 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-// --- Per-thread lock-free record buffers ------------------------------------
-//
-// Same discipline as the span buffers in obs/trace.cc: the owner thread
-// appends into a chain of fixed-size blocks and release-publishes a count;
-// the single drainer acquire-loads the count, formats the records, and frees
-// blocks it has fully consumed (safe: the writer never revisits a block it
-// has moved past, and only the drainer advances the drain cursor).
-
-constexpr size_t kEventBlockSize = 64;
-
-struct EventRecord {
-  uint64_t ts_ns = 0;
-  const char* kind = "";   // static storage ("log", "span", event literals)
-  LogLevel level = LogLevel::kInfo;  // kind "log"
-  const char* file = "";             // kind "log"
-  int line = 0;                      // kind "log"
-  const char* span_name = "";        // kind "span"
-  uint64_t start_ns = 0;             // kind "span"
-  uint64_t end_ns = 0;               // kind "span"
-  std::string message;
-  std::string detail;
-  std::vector<std::string> span_chain;
-};
-
-struct EventBlock {
-  EventRecord slots[kEventBlockSize];
-  std::atomic<EventBlock*> next{nullptr};
-};
-
-struct ThreadEventBuffer {
-  uint32_t tid = 0;
-  EventBlock head;
-  // Owner thread only.
-  EventBlock* write_block = &head;
-  uint64_t write_count = 0;
-  std::atomic<uint64_t> published{0};
-  // Drainer only.
-  EventBlock* drain_block = &head;
-  uint64_t drained = 0;
-
-  void Append(EventRecord&& record) {
-    const size_t slot = write_count % kEventBlockSize;
-    if (slot == 0 && write_count != 0) {
-      EventBlock* fresh = new EventBlock;
-      write_block->next.store(fresh, std::memory_order_release);
-      write_block = fresh;
-    }
-    write_block->slots[slot] = std::move(record);
-    ++write_count;
-    published.store(write_count, std::memory_order_release);
-  }
-};
-
-struct EventBufferRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadEventBuffer>> buffers;
-};
-
-EventBufferRegistry& Buffers() {
-  // Leaked (like the trace buffer registry) so late emitters during process
-  // teardown never touch a destroyed registry.
-  static EventBufferRegistry* registry = new EventBufferRegistry;
-  return *registry;
-}
-
-ThreadEventBuffer* LocalBuffer() {
-  thread_local std::shared_ptr<ThreadEventBuffer> buffer = [] {
-    auto fresh = std::make_shared<ThreadEventBuffer>();
-    EventBufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    fresh->tid = static_cast<uint32_t>(registry.buffers.size());
-    registry.buffers.push_back(fresh);
-    return fresh;
-  }();
-  return buffer.get();
-}
+using internal_thread_state::EventRecord;
+using internal_thread_state::ThreadState;
 
 // --- Process-wide log state -------------------------------------------------
 
@@ -193,23 +119,20 @@ std::string FormatRecord(const EventRecord& record, uint32_t tid) {
   return out;
 }
 
-// Drains one buffer: formats (or discards) every published-but-undrained
-// record and frees blocks left fully behind. Drainer thread (or Start/Stop
-// under the state mutex with the drainer not running) only.
-void DrainBuffer(EventLogState& state, ThreadEventBuffer* buffer,
-                 bool discard) {
-  const uint64_t published = buffer->published.load(std::memory_order_acquire);
-  while (buffer->drained < published) {
-    const size_t slot = buffer->drained % kEventBlockSize;
-    if (slot == 0 && buffer->drained != 0) {
-      EventBlock* next = buffer->drain_block->next.load(
-          std::memory_order_acquire);
-      if (buffer->drain_block != &buffer->head) delete buffer->drain_block;
-      buffer->drain_block = next;
-    }
-    EventRecord& record = buffer->drain_block->slots[slot];
-    if (!discard && state.file != nullptr && !state.write_failed) {
-      const std::string line = FormatRecord(record, buffer->tid);
+// Formats (or discards) every record published since the last drain, on
+// every thread. Drainer thread (or Start/Stop under the state mutex with the
+// drainer not running) only. The registry list is copied under its lock and
+// drained outside it, so thread registration never waits on a file write.
+void DrainAll(EventLogState& state, bool discard) {
+  for (ThreadState* thread : internal_thread_state::RegisteredThreadStates()) {
+    thread->events.Consume([&](const EventRecord& record) {
+      if (discard) {
+        g_dropped.fetch_add(1, std::memory_order_relaxed);
+        DroppedCounter().Increment();
+        return;
+      }
+      if (state.file == nullptr || state.write_failed) return;
+      const std::string line = FormatRecord(record, thread->tid);
       if (std::fwrite(line.data(), 1, line.size(), state.file) !=
           line.size()) {
         // Keep draining (bounding memory) but stop writing; stderr, not
@@ -218,26 +141,8 @@ void DrainBuffer(EventLogState& state, ThreadEventBuffer* buffer,
                      state.path.c_str());
         state.write_failed = true;
       }
-    }
-    if (discard) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      DroppedCounter().Increment();
-    }
-    record = EventRecord();  // release the strings promptly
-    ++buffer->drained;
+    });
   }
-}
-
-void DrainAll(EventLogState& state, bool discard) {
-  // Snapshot the buffer list under its lock, drain outside it: new threads
-  // can register while we write.
-  std::vector<std::shared_ptr<ThreadEventBuffer>> buffers;
-  {
-    EventBufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
-  for (const auto& buffer : buffers) DrainBuffer(state, buffer.get(), discard);
 }
 
 void RefillTokens(EventLogState& state) {
@@ -280,7 +185,7 @@ std::vector<std::string> CaptureSpanChain() {
 
 void AppendRecord(EventRecord&& record) {
   record.ts_ns = TraceNowNs();
-  LocalBuffer()->Append(std::move(record));
+  internal_thread_state::LocalThreadState().events.Append(std::move(record));
 }
 
 // Installed as the util/logging.h sink while the log runs: every TG_LOG

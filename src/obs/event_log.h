@@ -12,10 +12,11 @@
 // Timestamps are obs::TraceNowNs() -- the same monotonic clock as every
 // other obs artifact, so event-log lines and Chrome-trace spans line up.
 //
-// Write path: emitters append to lock-free per-thread block buffers (the
-// obs/trace.cc discipline: release-published counters, blocks only ever
-// appended); a single drainer thread formats and writes the JSON lines in
-// the background and frees fully-drained blocks. Emission is rate-limited
+// Write path: emitters append to the event log of their per-thread state
+// (obs/thread_state.h), the one the tracer keeps its spans in, so "tid" is
+// the tid of ThreadNames() and of the Chrome trace; a single drainer thread
+// formats and writes the JSON lines in the background and frees
+// fully-drained blocks. Emission is rate-limited
 // by a token bucket (rate/burst in EventLogOptions); shed events are
 // counted, never blocked on -- the "event_log.dropped_events" counter and
 // EventLogDroppedCount() make the loss visible.

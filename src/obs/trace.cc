@@ -15,6 +15,7 @@
 #include "obs/perf_counters.h"
 #include "obs/profiler.h"
 #include "obs/resource_sampler.h"
+#include "obs/thread_state.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/json_util.h"
@@ -49,85 +50,21 @@ std::atomic<uint32_t>& Mode() {
   return mode;
 }
 
-// --- Per-thread record buffers ---------------------------------------------
-//
-// Each thread appends to its own chain of fixed-size blocks; a record
-// becomes visible to readers via a release store of the published count, so
-// the writer takes no lock and never blocks on a flush. Blocks are only ever
-// appended, never moved, so readers can walk the chain concurrently.
+using internal_thread_state::kMaxPublishedOpenSpans;
+using internal_thread_state::LocalThreadState;
+using internal_thread_state::ThreadState;
 
-constexpr size_t kBlockSize = 256;
-
-// Cross-thread-readable open-span stack depth. Deeper nesting than this is
-// still tracked by the thread-local chain; only the /statusz view truncates.
-constexpr size_t kMaxPublishedOpenSpans = 32;
-
-struct Block {
-  SpanRecord slots[kBlockSize];
-  std::atomic<Block*> next{nullptr};
-};
-
-struct ThreadBuffer {
-  uint32_t tid = 0;
-  std::string name;  // guarded by Buffers().mu
-  Block head;
-  // Published open-span names for /statusz: owner thread stores, any thread
-  // loads. Values are string literals (static storage), so a reader can
-  // dereference whatever it sees; depth is published after the name slot so
-  // an observed depth never exposes an unwritten slot.
-  std::atomic<const char*> open_names[kMaxPublishedOpenSpans] = {};
-  std::atomic<uint32_t> open_depth{0};
-  Block* write_block = &head;   // owner thread only
-  uint64_t write_count = 0;     // owner thread only
-  std::atomic<uint64_t> published{0};
-  std::atomic<uint64_t> consumed{0};  // flush side only
-
-  ~ThreadBuffer() {
-    Block* b = head.next.load(std::memory_order_acquire);
-    while (b != nullptr) {
-      Block* next = b->next.load(std::memory_order_acquire);
-      delete b;
-      b = next;
-    }
-  }
-
-  void Append(SpanRecord&& record) {
-    record.tid = tid;
-    const size_t slot = write_count % kBlockSize;
-    if (slot == 0 && write_count != 0) {
-      Block* fresh = new Block;
-      write_block->next.store(fresh, std::memory_order_release);
-      write_block = fresh;
-    }
-    write_block->slots[slot] = std::move(record);
-    ++write_count;
-    published.store(write_count, std::memory_order_release);
-  }
-};
-
-struct BufferRegistry {
+// The one thread registry of src/obs (obs/thread_state.h). Leaked, with its
+// states, so spans and events recorded by short-lived threads survive until
+// the final flush and late emitters never touch a destroyed registry.
+struct ThreadRegistry {
   std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
+  std::vector<std::unique_ptr<ThreadState>> states;
 };
 
-BufferRegistry& Buffers() {
-  static BufferRegistry* registry = new BufferRegistry;
+ThreadRegistry& Registry() {
+  static ThreadRegistry* registry = new ThreadRegistry;
   return *registry;
-}
-
-// The registry keeps buffers alive past thread exit so spans recorded by
-// short-lived threads survive until the final flush.
-ThreadBuffer* LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto fresh = std::make_shared<ThreadBuffer>();
-    BufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    fresh->tid = static_cast<uint32_t>(registry.buffers.size());
-    fresh->name = "thread-" + std::to_string(fresh->tid);
-    registry.buffers.push_back(fresh);
-    return fresh;
-  }();
-  return buffer.get();
 }
 
 std::atomic<uint64_t> g_next_span_id{1};
@@ -217,12 +154,12 @@ Span::Span(const char* name, std::string detail) {
   if ((mode & kTelemetryBit) != 0) {
     // Publish the name for cross-thread /statusz reads: slot first, then
     // depth, so a reader that sees the new depth also sees the name.
-    ThreadBuffer* buffer = LocalBuffer();
-    const uint32_t depth = buffer->open_depth.load(std::memory_order_relaxed);
+    ThreadState& state = LocalThreadState();
+    const uint32_t depth = state.open_depth.load(std::memory_order_relaxed);
     if (depth < kMaxPublishedOpenSpans) {
-      buffer->open_names[depth].store(name, std::memory_order_release);
+      state.open_names[depth].store(name, std::memory_order_release);
     }
-    buffer->open_depth.store(depth + 1, std::memory_order_release);
+    state.open_depth.store(depth + 1, std::memory_order_release);
     published_open_ = true;
   }
   if ((mode & kProfileBit) != 0) {
@@ -252,10 +189,10 @@ Span::~Span() {
   std::atomic_signal_fence(std::memory_order_release);
   t_open_span = prev_open_;
   if (published_open_) {
-    ThreadBuffer* buffer = LocalBuffer();
-    const uint32_t depth = buffer->open_depth.load(std::memory_order_relaxed);
+    ThreadState& state = LocalThreadState();
+    const uint32_t depth = state.open_depth.load(std::memory_order_relaxed);
     if (depth > 0) {
-      buffer->open_depth.store(depth - 1, std::memory_order_release);
+      state.open_depth.store(depth - 1, std::memory_order_release);
     }
   }
   if (perf_delta.ok) AccumulateStageCounters(name_, perf_delta);
@@ -282,7 +219,9 @@ Span::~Span() {
     record.alloc_bytes = alloc_bytes;
     record.allocs = alloc_count;
     record.perf = perf_delta;
-    LocalBuffer()->Append(std::move(record));
+    ThreadState& state = LocalThreadState();
+    record.tid = state.tid;
+    state.spans.Append(std::move(record));
   }
 }
 
@@ -304,18 +243,18 @@ const char* CurrentSpanName() {
 
 std::vector<ThreadOpenSpans> AllThreadsOpenSpans() {
   std::vector<ThreadOpenSpans> out;
-  BufferRegistry& registry = Buffers();
+  ThreadRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  out.reserve(registry.buffers.size());
-  for (const auto& buffer : registry.buffers) {
+  out.reserve(registry.states.size());
+  for (const auto& state : registry.states) {
     ThreadOpenSpans entry;
-    entry.tid = buffer->tid;
-    entry.thread_name = buffer->name;
+    entry.tid = state->tid;
+    entry.thread_name = state->name;
     const uint32_t depth = std::min<uint32_t>(
-        buffer->open_depth.load(std::memory_order_acquire),
+        state->open_depth.load(std::memory_order_acquire),
         kMaxPublishedOpenSpans);
     for (uint32_t i = 0; i < depth; ++i) {
-      const char* name = buffer->open_names[i].load(std::memory_order_acquire);
+      const char* name = state->open_names[i].load(std::memory_order_acquire);
       if (name == nullptr) break;  // slot racing with a push; stop cleanly
       entry.spans.emplace_back(name);
     }
@@ -346,50 +285,65 @@ ParentScope::ParentScope(uint64_t parent_span) : prev_(t_current_span) {
 
 ParentScope::~ParentScope() { t_current_span = prev_; }
 
-void SetCurrentThreadName(std::string name) {
-  ThreadBuffer* buffer = LocalBuffer();
-  BufferRegistry& registry = Buffers();
+namespace internal_thread_state {
+
+ThreadState& LocalThreadState() {
+  thread_local ThreadState* state = [] {
+    auto fresh = std::make_unique<ThreadState>();
+    ThreadRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    fresh->tid = static_cast<uint32_t>(registry.states.size());
+    fresh->name = "thread-" + std::to_string(fresh->tid);
+    registry.states.push_back(std::move(fresh));
+    return registry.states.back().get();
+  }();
+  return *state;
+}
+
+std::vector<ThreadState*> RegisteredThreadStates() {
+  ThreadRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  buffer->name = std::move(name);
+  std::vector<ThreadState*> states;
+  states.reserve(registry.states.size());
+  for (const auto& state : registry.states) states.push_back(state.get());
+  return states;
+}
+
+}  // namespace internal_thread_state
+
+void SetCurrentThreadName(std::string name) {
+  ThreadState& state = LocalThreadState();
+  ThreadRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  state.name = std::move(name);
 }
 
 std::vector<std::pair<uint32_t, std::string>> ThreadNames() {
   std::vector<std::pair<uint32_t, std::string>> names;
-  BufferRegistry& registry = Buffers();
+  ThreadRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  names.reserve(registry.buffers.size());
-  for (const auto& buffer : registry.buffers) {
-    names.emplace_back(buffer->tid, buffer->name);
+  names.reserve(registry.states.size());
+  for (const auto& state : registry.states) {
+    names.emplace_back(state->tid, state->name);
   }
   return names;
 }
 
 std::vector<SpanRecord> SnapshotSpans() {
   std::vector<SpanRecord> out;
-  BufferRegistry& registry = Buffers();
+  ThreadRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
-    const uint64_t published =
-        buffer->published.load(std::memory_order_acquire);
-    const uint64_t consumed = buffer->consumed.load(std::memory_order_relaxed);
-    const Block* block = &buffer->head;
-    for (uint64_t i = 0; i < published; ++i) {
-      const size_t slot = i % kBlockSize;
-      if (slot == 0 && i != 0) {
-        block = block->next.load(std::memory_order_acquire);
-      }
-      if (i >= consumed) out.push_back(block->slots[slot]);
-    }
+  for (const auto& state : registry.states) {
+    state->spans.Peek([&out](const SpanRecord& span) { out.push_back(span); });
   }
   return out;
 }
 
 void ResetSpans() {
-  BufferRegistry& registry = Buffers();
+  ThreadRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
-    buffer->consumed.store(buffer->published.load(std::memory_order_acquire),
-                           std::memory_order_relaxed);
+  for (const auto& state : registry.states) {
+    state->spans.Consume([](SpanRecord&) {});
   }
 }
 

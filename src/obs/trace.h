@@ -208,7 +208,8 @@ class ParentScope {
 // call it show up as "thread-<tid>".
 void SetCurrentThreadName(std::string name);
 
-// (tid, name) for every thread that recorded spans or registered a name.
+// (tid, name) for every thread that recorded spans or events, or registered
+// a name.
 std::vector<std::pair<uint32_t, std::string>> ThreadNames();
 
 // --- Flush / export ---------------------------------------------------------
@@ -220,8 +221,9 @@ std::vector<std::pair<uint32_t, std::string>> ThreadNames();
 std::vector<SpanRecord> SnapshotSpans();
 
 // Marks everything currently published as consumed so the next
-// SnapshotSpans starts fresh. Spans still open stay unaffected (they are
-// recorded on close). For benches/tests sectioning one process run.
+// SnapshotSpans starts fresh, and frees the record blocks that consumption
+// moved past. Spans still open stay unaffected (they are recorded on close).
+// For benches/tests sectioning one process run.
 void ResetSpans();
 
 // Chrome trace-event JSON (the "JSON Object Format": {"traceEvents":[...]})

@@ -156,9 +156,6 @@ TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
       [](PipelineConfig* c) { c->node2vec.skipgram.initial_lr = 0.0250001; },
       [](PipelineConfig* c) { c->node2vec.skipgram.min_lr_fraction = 1e-4; },
       [](PipelineConfig* c) { c->node2vec.skipgram.sampling_power = 0.5; },
-      [](PipelineConfig* c) {
-        c->node2vec.skipgram.parallel = SkipGramParallelMode::kHogwild;
-      },
       [](PipelineConfig* c) { c->node2vec.skipgram.num_shards = 2; },
       [](PipelineConfig* c) { c->sage.hidden_dim = 8; },
       [](PipelineConfig* c) { c->sage.output_dim = 8; },

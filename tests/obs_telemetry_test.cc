@@ -8,6 +8,8 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -310,6 +312,53 @@ TEST_F(ObsTelemetryTest, EventLogRecordsAreStrictJsonWithSpanChains) {
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_event);
   EXPECT_TRUE(saw_nested_chain);
+}
+
+// Spans, event-log lines and /statusz share one per-thread state, so an
+// event's "tid" names the thread ThreadNames() gives for it. The threads
+// register with the tracer in one order and first emit events in the
+// other, so any numbering private to the event log would disagree.
+TEST_F(ObsTelemetryTest, EventLogTidMatchesTracerThreadNames) {
+  const std::string path = TempPath("event_log_tids.jsonl");
+  obs::EventLogOptions options;
+  options.flush_interval_ms = 5;
+  ASSERT_TRUE(obs::StartEventLog(path, options).ok());
+  std::promise<void> first_named;
+  std::promise<void> second_emitted;
+  std::thread first([&] {
+    obs::SetCurrentThreadName("tid_probe_first");
+    first_named.set_value();
+    second_emitted.get_future().wait();
+    obs::EmitEvent("telemetry_test.tid_probe", "tid_probe_first");
+  });
+  first_named.get_future().wait();
+  std::thread second([&] {
+    obs::SetCurrentThreadName("tid_probe_second");
+    obs::EmitEvent("telemetry_test.tid_probe", "tid_probe_second");
+    second_emitted.set_value();
+  });
+  second.join();
+  first.join();
+  obs::StopEventLog();
+
+  std::map<uint32_t, std::string> names;
+  for (const auto& [tid, name] : obs::ThreadNames()) names[tid] = name;
+  std::istringstream lines(ReadWholeFile(path));
+  std::string line;
+  size_t probes = 0;
+  while (std::getline(lines, line)) {
+    Result<JsonValue> parsed = JsonValue::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    const JsonValue& record = parsed.value();
+    if (record.Find("kind")->AsString() != "telemetry_test.tid_probe") {
+      continue;
+    }
+    ++probes;
+    const auto tid = static_cast<uint32_t>(record.Find("tid")->AsDouble());
+    ASSERT_EQ(names.count(tid), 1u) << line;
+    EXPECT_EQ(names[tid], record.Find("msg")->AsString()) << line;
+  }
+  EXPECT_EQ(probes, 2u);
 }
 
 TEST_F(ObsTelemetryTest, RateLimiterShedsAndCountsDrops) {

@@ -1,13 +1,16 @@
 // Observability substrate tests: span nesting and parent handoff across
-// ParallelFor, histogram bucket math, counter updates from pool workers
+// ParallelFor, the per-thread record log's block edges and concurrent
+// consumption, histogram bucket math, counter updates from pool workers
 // (TSan-clean), exporter JSON validity, and the determinism contract --
 // pipeline outputs are bit-identical with tracing on or off.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "obs/thread_state.h"
 #include "obs/trace.h"
 #include "util/json_util.h"
 #include "util/thread_pool.h"
@@ -92,6 +96,131 @@ TEST_F(ObsTest, ResetSpansSectionsTheBuffer) {
   const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
   EXPECT_TRUE(SpansNamed(spans, "before_reset").empty());
   EXPECT_EQ(SpansNamed(spans, "after_reset").size(), 1u);
+}
+
+// Spans per record block of a thread's span log. Each std::thread below
+// starts a fresh log, so its first span opens the log's first block.
+constexpr size_t kSpanBlock = 256;
+
+TEST_F(ObsTest, ResetAtAFullBlockThenOneMoreSpan) {
+  obs::SetTraceEnabled(true);
+  std::thread([] {
+    for (size_t i = 0; i < kSpanBlock; ++i) {
+      TG_TRACE_SPAN("block_fill");
+    }
+    obs::ResetSpans();  // the block after the full one does not exist yet
+    { TG_TRACE_SPAN("after_full_block"); }
+  }).join();
+  const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "after_full_block");
+}
+
+TEST_F(ObsTest, SnapshotAfterResetReadsThreeBlocksInOrder) {
+  obs::SetTraceEnabled(true);
+  constexpr size_t kSpans = 3 * kSpanBlock;
+  std::thread([] {
+    for (size_t i = 0; i < 100; ++i) {
+      TG_TRACE_SPAN("before_reset");
+    }
+    obs::ResetSpans();  // mid-block
+    for (size_t i = 0; i < kSpans; ++i) {
+      TG_TRACE_SPAN2("three_blocks", std::to_string(i));
+    }
+  }).join();
+  const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
+  ASSERT_EQ(spans.size(), kSpans);
+  for (size_t i = 0; i < kSpans; ++i) {
+    EXPECT_STREQ(spans[i].name, "three_blocks");
+    EXPECT_EQ(spans[i].detail, std::to_string(i));
+  }
+  obs::ResetSpans();  // frees the consumed blocks
+  EXPECT_TRUE(obs::SnapshotSpans().empty());
+}
+
+// Writers record while the main thread snapshots and resets, so blocks are
+// freed under concurrent appends. A span published between a SnapshotSpans
+// and the following ResetSpans is consumed unseen, so through this API each
+// span is seen at most once and in order; exactly-once delivery of the log
+// itself is pinned by RecordLogTest below.
+TEST_F(ObsTest, ConcurrentWritersSurviveSnapshotResetLoop) {
+  obs::SetTraceEnabled(true);
+  constexpr int kWriters = 4;
+  constexpr int kSpansPerWriter = 1000;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([w, &running] {
+      for (int i = 0; i < kSpansPerWriter; ++i) {
+        TG_TRACE_SPAN2("concurrent_writer",
+                       std::to_string(w) + ":" + std::to_string(i));
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::vector<std::vector<int>> seen(kWriters);
+  auto collect = [&seen] {
+    for (const obs::SpanRecord& span : obs::SnapshotSpans()) {
+      const size_t colon = span.detail.find(':');
+      ASSERT_NE(colon, std::string::npos) << span.detail;
+      seen[std::stoi(span.detail.substr(0, colon))].push_back(
+          std::stoi(span.detail.substr(colon + 1)));
+    }
+  };
+  while (running.load(std::memory_order_acquire) > 0) {
+    collect();
+    obs::ResetSpans();
+  }
+  for (std::thread& writer : writers) writer.join();
+  collect();
+  for (int w = 0; w < kWriters; ++w) {
+    for (size_t i = 1; i < seen[w].size(); ++i) {
+      ASSERT_LT(seen[w][i - 1], seen[w][i]) << "writer " << w;
+    }
+  }
+  obs::ResetSpans();
+  EXPECT_TRUE(obs::SnapshotSpans().empty());
+}
+
+TEST(RecordLogTest, ConcurrentAppendAndConsumeDeliverEachRecordOnceInOrder) {
+  struct Record {
+    int seq = -1;
+  };
+  // Four records per block: a block boundary every fourth append.
+  using Log = obs::internal_thread_state::RecordLog<Record, 4>;
+  constexpr int kWriters = 4;
+  constexpr int kRecords = 1000;
+  std::vector<std::unique_ptr<Log>> logs;
+  for (int w = 0; w < kWriters; ++w) logs.push_back(std::make_unique<Log>());
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kRecords; ++i) logs[w]->Append(Record{i});
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::vector<std::vector<int>> consumed(kWriters);
+  auto drain = [&] {
+    for (int w = 0; w < kWriters; ++w) {
+      std::vector<int> peeked;
+      logs[w]->Peek([&](const Record& r) { peeked.push_back(r.seq); });
+      const size_t before = consumed[w].size();
+      logs[w]->Consume([&](Record& r) { consumed[w].push_back(r.seq); });
+      // Peek consumed nothing: this Consume starts with what it saw.
+      ASSERT_GE(consumed[w].size() - before, peeked.size());
+      for (size_t i = 0; i < peeked.size(); ++i) {
+        ASSERT_EQ(consumed[w][before + i], peeked[i]);
+      }
+    }
+  };
+  while (running.load(std::memory_order_acquire) > 0) drain();
+  for (std::thread& writer : writers) writer.join();
+  drain();
+  for (int w = 0; w < kWriters; ++w) {
+    ASSERT_EQ(consumed[w].size(), static_cast<size_t>(kRecords)) << w;
+    for (int i = 0; i < kRecords; ++i) ASSERT_EQ(consumed[w][i], i) << w;
+  }
 }
 
 TEST_F(ObsTest, ParallelForHandsParentToPoolWorkers) {

@@ -21,8 +21,8 @@
 # (--trace/--metrics/--mem/--rss-sample), including validity of the exported
 # Chrome-trace JSON, and a profiling gate: `tg_cli rank --profile` must
 # attribute >0 samples to named pipeline spans in a parsable
-# collapsed-stack file, the profiler test suite must pass under ASan (the
-# TSan ctest pass above covers the signal handler's race freedom), and a
+# collapsed-stack file, the obs, profiler and telemetry test suites must
+# pass under ASan (the TSan ctest pass above covers their race freedom), and a
 # forced TG_FAULT=perf_open=always run must degrade to a labeled
 # "perf counters unavailable" state with a clean exit.
 #
@@ -476,10 +476,17 @@ grep -q "perf counters unavailable: injected fault at perf_open" \
 }
 echo "injected perf_open fault degraded cleanly"
 
-# The profiler suite under ASan catches buffer-lifetime mistakes in the
-# signal path; the TSan ctest pass above already covers its race freedom.
-cmake --build build-asan -j "$JOBS" --target obs_profiler_test
+# The obs suites under ASan catch buffer-lifetime mistakes: the profiler's
+# signal path, the per-thread record logs (ResetSpans and the event-log
+# drainer free the blocks they consume), and the telemetry server's
+# socket/buffer lifetimes. The TSan ctest pass above already ran them for
+# race freedom (scrape-during-ParallelFor, cross-thread span stacks,
+# concurrent span writers against snapshot/reset).
+cmake --build build-asan -j "$JOBS" \
+    --target obs_test obs_profiler_test obs_telemetry_test
+./build-asan/tests/obs_test
 ./build-asan/tests/obs_profiler_test
+./build-asan/tests/obs_telemetry_test
 
 section "telemetry gate: live scrape of a running sweep"
 # A sweep served on an ephemeral port must be scrapeable mid-run: the bound
@@ -568,11 +575,5 @@ grep -q "telemetry unavailable" "$TELEM_DIR/fault_stderr.txt" || {
   exit 1
 }
 echo "injected telemetry_bind fault degraded cleanly"
-
-# The telemetry suite under ASan (socket/buffer lifetimes in the server and
-# the event-log drainer); the TSan ctest pass above already ran it for race
-# freedom (scrape-during-ParallelFor, cross-thread span stacks).
-cmake --build build-asan -j "$JOBS" --target obs_telemetry_test
-./build-asan/tests/obs_telemetry_test
 
 section "all checks passed"
