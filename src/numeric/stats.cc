@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "util/check.h"
@@ -69,21 +71,64 @@ double PearsonCorrelation(const std::vector<double>& a,
   return cov / denom;
 }
 
+namespace {
+
+// Maps a double to an unsigned key in the same order: a < b implies
+// OrderKey(a) < OrderKey(b), and -0.0 takes +0.0's key, so two values are
+// equal exactly when their keys are (NaN aside).
+uint64_t OrderKey(double v) {
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+}  // namespace
+
 std::vector<double> AverageRanks(const std::vector<double>& values) {
   const size_t n = values.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t x, size_t y) { return values[x] < values[y]; });
+  if (n == 0) return {};
+  // LSD radix sort of (key, index) pairs, one key byte per pass. One
+  // counting sweep fills every pass's histogram, and a pass whose byte is
+  // the same in every key moves nothing, so it is skipped.
+  struct Item {
+    uint64_t key;
+    size_t index;
+  };
+  std::vector<Item> sorted(n);
+  std::vector<Item> scratch(n);
+  std::vector<size_t> counts(8 * 256, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = OrderKey(values[i]);
+    sorted[i] = {key, i};
+    for (int pass = 0; pass < 8; ++pass) {
+      ++counts[pass * 256 + ((key >> (8 * pass)) & 0xFF)];
+    }
+  }
+  for (int pass = 0; pass < 8; ++pass) {
+    size_t* count = counts.data() + pass * 256;
+    const int shift = 8 * pass;
+    if (count[(sorted[0].key >> shift) & 0xFF] == n) continue;
+    size_t offset = 0;
+    for (int b = 0; b < 256; ++b) {
+      const size_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (const Item& item : sorted) {
+      scratch[count[(item.key >> shift) & 0xFF]++] = item;
+    }
+    sorted.swap(scratch);
+  }
   std::vector<double> ranks(n, 0.0);
   size_t i = 0;
   while (i < n) {
     size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
+    while (j + 1 < n && sorted[j + 1].key == sorted[i].key) ++j;
     // Tie block [i, j]: assign the average of ranks i+1 .. j+1.
     const double avg = (static_cast<double>(i + 1) +
                         static_cast<double>(j + 1)) / 2.0;
-    for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
+    for (size_t k = i; k <= j; ++k) ranks[sorted[k].index] = avg;
     i = j + 1;
   }
   return ranks;

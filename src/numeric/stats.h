@@ -27,7 +27,9 @@ double PearsonCorrelation(const std::vector<double>& a,
 double SpearmanCorrelation(const std::vector<double>& a,
                            const std::vector<double>& b);
 
-// Average ranks with ties; rank 1 = smallest value.
+// Average ranks with ties; rank 1 = smallest value. -0.0 and +0.0 tie.
+// A NaN ranks past the infinity of its sign and ties only with NaNs of the
+// same bits.
 std::vector<double> AverageRanks(const std::vector<double>& values);
 
 // Maps values affinely into [0, 1]; a constant vector maps to all 0.5.

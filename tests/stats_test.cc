@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +91,52 @@ TEST(AverageRanksTest, TiesGetAverageRank) {
   EXPECT_DOUBLE_EQ(ranks[0], 2.5);
   EXPECT_DOUBLE_EQ(ranks[1], 2.5);
   EXPECT_DOUBLE_EQ(ranks[2], 1.0);
+}
+
+// The index-sort ranking AverageRanks used before it sorted contiguous
+// (value, index) pairs; kept as the bit-level reference.
+std::vector<double> IndexSortAverageRanks(const std::vector<double>& values) {
+  const size_t n = values.size();
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](size_t x, size_t y) { return values[x] < values[y]; });
+  std::vector<double> ranks(n, 0.0);
+  size_t i = 0;
+  while (i < n) {
+    size_t j = i;
+    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
+    const double avg = (static_cast<double>(i + 1) +
+                        static_cast<double>(j + 1)) / 2.0;
+    for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
+    i = j + 1;
+  }
+  return ranks;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(AverageRanksTest, MatchesIndexSortBitForBit) {
+  // Heavy ties, both signed zeros (equal, so one tie block), and sizes on
+  // either side of small-sort cutoffs.
+  const double pool[] = {-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 1e300};
+  Rng rng(77);
+  for (size_t n : {0, 1, 2, 3, 15, 16, 17, 100, 1000, 32640}) {
+    std::vector<double> tied(n);
+    std::vector<double> mixed(n);
+    for (size_t i = 0; i < n; ++i) {
+      tied[i] = pool[rng.NextBelow(8)];
+      mixed[i] = rng.NextBelow(3) == 0 ? tied[i] : rng.NextGaussian();
+    }
+    EXPECT_TRUE(SameBits(AverageRanks(tied), IndexSortAverageRanks(tied)))
+        << "n=" << n;
+    EXPECT_TRUE(SameBits(AverageRanks(mixed), IndexSortAverageRanks(mixed)))
+        << "n=" << n;
+  }
 }
 
 TEST(SpearmanTest, MonotoneNonlinearIsPerfect) {

@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +200,118 @@ TEST(ParcTest, SubsamplingKeepsScoreStable) {
 TEST(ParcTest, InputValidation) {
   EXPECT_FALSE(ParcScore(Matrix(2, 3), {0, 1}, 2).ok());  // too few samples
   EXPECT_FALSE(ParcScore(Matrix(5, 3), {0, 1, 0, 1}, 2).ok());
+
+  // Every label is checked, not only those of the subsampled rows.
+  LabeledFeatures data = MakeSeparable(400, 8, 3, 2.0, 15);
+  ASSERT_TRUE(ParcScore(data.features, data.labels, 3).ok());
+  const ParcOptions defaults;
+  Rng rng(defaults.seed);
+  std::vector<size_t> kept =
+      rng.SampleWithoutReplacement(400, defaults.max_samples);
+  std::sort(kept.begin(), kept.end());
+  size_t dropped = 0;
+  while (std::binary_search(kept.begin(), kept.end(), dropped)) ++dropped;
+  for (int bad : {7, -5, 3}) {
+    for (size_t row : {dropped, kept.front(), size_t{399}}) {
+      std::vector<int> labels = data.labels;
+      labels[row] = bad;
+      EXPECT_EQ(ParcScore(data.features, labels, 3).status().code(),
+                StatusCode::kOutOfRange)
+          << "label " << bad << " in row " << row;
+    }
+  }
+
+  // A subsample of fewer than 3 rows has no pair geometry to compare.
+  for (size_t max_samples : {0, 1, 2}) {
+    ParcOptions options;
+    options.max_samples = max_samples;
+    EXPECT_EQ(ParcScore(data.features, data.labels, 3, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "max_samples " << max_samples;
+  }
+  ParcOptions three;
+  three.max_samples = 3;
+  EXPECT_TRUE(ParcScore(data.features, data.labels, 3, three).ok());
+}
+
+// FNV-1a over the %.17g text of each score, so two runs hash equal only when
+// every score has the same bits.
+std::string ScoreHash(const std::vector<double>& scores) {
+  uint64_t hash = 1469598103934665603ULL;
+  char text[32];
+  for (double v : scores) {
+    const int n = std::snprintf(text, sizeof(text), "%.17g\n", v);
+    for (int k = 0; k < n; ++k) {
+      hash ^= static_cast<unsigned char>(text[k]);
+      hash *= 1099511628211ULL;
+    }
+  }
+  char hex[20];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, hash);
+  return hex;
+}
+
+// PARC scores of MakeSeparable data over three seeds, with `edit` applied
+// to each data set first.
+template <typename Edit>
+std::string ParcHash(size_t n, size_t dim, int used_classes, int num_classes,
+                     const ParcOptions& options, Edit edit) {
+  std::vector<double> scores;
+  for (uint64_t seed : {41, 42, 43}) {
+    LabeledFeatures data = MakeSeparable(n, dim, used_classes, 1.5, seed);
+    edit(&data);
+    Result<double> score =
+        ParcScore(data.features, data.labels, num_classes, options);
+    EXPECT_TRUE(score.ok());
+    scores.push_back(score.ok() ? score.value() : -1e300);
+  }
+  return ScoreHash(scores);
+}
+
+// Pins PARC's exact output bits, so a rewrite of the pairwise distances or
+// of the rank sort cannot move a score unnoticed. The hashes were recorded
+// from the per-pair CorrelationDistance formulation with index-sorted ranks.
+TEST(ParcTest, OutputsPinnedAcrossRewrite) {
+  const auto none = [](LabeledFeatures*) {};
+  const ParcOptions defaults;
+  // n > max_samples: a 256-row subsample.
+  EXPECT_EQ(ParcHash(300, 20, 4, 4, defaults, none), "9877e93222d1aaff");
+  // n <= max_samples, n and d not multiples of any tile width.
+  EXPECT_EQ(ParcHash(203, 13, 5, 5, defaults, none), "911d5cba383cc9f3");
+  // C = 2.
+  EXPECT_EQ(ParcHash(150, 12, 2, 2, defaults, none), "a5391bb9bf317ed2");
+  // C = 32 with 12 classes never used.
+  EXPECT_EQ(ParcHash(190, 24, 20, 32, defaults, none), "a38690e733360588");
+  // The cold-estimator benchmark's shape: 400 x 32 features, 32 classes.
+  EXPECT_EQ(ParcHash(400, 32, 32, 32, defaults, none), "aefc249db2d42a7c");
+  // Constant and all-zero rows: every pair with them has denom == 0.
+  EXPECT_EQ(ParcHash(97, 9, 3, 3, defaults,
+                     [](LabeledFeatures* data) {
+                       for (size_t k = 0; k < data->features.cols(); ++k) {
+                         data->features(5, k) = 2.5;
+                         data->features(50, k) = 0.0;
+                       }
+                     }),
+            "5c2c9c8144b29218");
+  // Few distinct feature values: many tied distances to rank.
+  EXPECT_EQ(ParcHash(120, 6, 3, 3, defaults,
+                     [](LabeledFeatures* data) {
+                       for (size_t i = 0; i < data->features.size(); ++i) {
+                         double& v = data->features.data()[i];
+                         v = v > 0.0 ? 1.0 : 0.0;
+                       }
+                     }),
+            "86a683520592b97c");
+  // d = 1: every Pearson term is the d < 2 zero, so every feature distance
+  // is exactly 1 and every score exactly +0.
+  EXPECT_EQ(ParcHash(120, 1, 3, 3, defaults, none), "1b6b475915cad6c9");
+  // A small subsample of an odd size.
+  ParcOptions small;
+  small.max_samples = 37;
+  small.seed = 5;
+  EXPECT_EQ(ParcHash(260, 17, 6, 7, small, none), "11bd6e2ec0947518");
 }
 
 // --- H-Score ---

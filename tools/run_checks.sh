@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate: Release + ThreadSanitizer builds, both test suites (the TSan
 # pass covers the concurrent allocation tracking in obs_memory_test), an
-# UndefinedBehaviorSanitizer pass over the kernel layer and the chaos and
+# UndefinedBehaviorSanitizer pass over the kernel layer, the
+# transferability estimators and the statistics helpers, and the chaos and
 # distributed-sweep tests (any UB report fails it), a kernel-backend
 # dispatch gate (kernels_test, autograd_test and gnn_test under
 # TG_ISA=scalar and under the widest host-supported backend, plus a
@@ -66,14 +67,18 @@ if [ "$SKIP_UBSAN" -eq 1 ]; then
   section "UBSan kernel-layer tests (SKIPPED)"
 else
   section "UBSan kernel-layer tests"
-  # Focused pass: the unrolled kernels and the sigmoid table are the code
-  # most exposed to pointer/index arithmetic mistakes, so they get a
-  # dedicated UB check even when the full-matrix sanitizer suite is too
-  # slow for the pre-PR loop.
+  # Focused pass: the unrolled kernels, the sigmoid table, PARC's tiled
+  # triangular pair loop and the radix rank sort are the code most exposed
+  # to pointer/index arithmetic mistakes, so they get a dedicated UB check
+  # even when the full-matrix sanitizer suite is too slow for the pre-PR
+  # loop.
+  UBSAN_KERNEL_TESTS="kernels_test transferability_test stats_test"
   cmake -B build-ubsan -S . -DTG_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-ubsan -j "$JOBS" --target kernels_test
-  ./build-ubsan/tests/kernels_test
+  cmake --build build-ubsan -j "$JOBS" --target $UBSAN_KERNEL_TESTS
+  for t in $UBSAN_KERNEL_TESTS; do
+    "./build-ubsan/tests/$t"
+  done
 fi
 
 section "kernel backend dispatch gate"
