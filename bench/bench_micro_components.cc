@@ -18,6 +18,7 @@
 #include "gnn/sage.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
+#include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
 #include "numeric/stats.h"
 #include "obs/trace.h"
@@ -80,16 +81,19 @@ void BM_KernelDot(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelDot)->Arg(128)->Arg(129);
 
-void BM_KernelDotScalarRef(benchmark::State& state) {
+// The fixed-order scalar table's dot, whatever TG_ISA selected for
+// BM_KernelDot.
+void BM_KernelDotScalarBackend(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::vector<double> a = BenchVector(n, 21);
   const std::vector<double> b = BenchVector(n, 22);
+  const kernels::KernelBackend& scalar = kernels::ScalarBackend();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::DotScalarRef(a.data(), b.data(), n));
+    benchmark::DoNotOptimize(scalar.dot(a.data(), b.data(), n));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_KernelDotScalarRef)->Arg(128)->Arg(129);
+BENCHMARK(BM_KernelDotScalarBackend)->Arg(128)->Arg(129);
 
 void BM_KernelAxpy(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -10,6 +10,7 @@
 
 #include "core/sweep_checkpoint.h"
 #include "util/backoff.h"
+#include "ml/tree_engine.h"
 #include "numeric/pca.h"
 #include "numeric/stats.h"
 #include "obs/event_log.h"
@@ -106,7 +107,6 @@ std::string EmbeddingConfigKey(const PipelineConfig& config) {
   Put("p", walk.p, &key);
   Put("q", walk.q, &key);
   Put("wext", walk.extended, &key);
-  // skipgram.full_matrix_merge is left out: both merges are bit-identical.
   const SkipGramConfig& sg = config.node2vec.skipgram;
   Put("dim", sg.dim, &key);
   Put("win", sg.window, &key);
@@ -143,7 +143,8 @@ std::string PredictorSettingsKey(const PredictorSettings& settings) {
   Put("rf.leaf", rf.tree.min_samples_leaf, &key);
   Put("rf.split", rf.tree.min_samples_split, &key);
   Put("rf.feat", rf.tree.max_features, &key);
-  Put("rf.engine", rf.tree.engine, &key);
+  // The engine kAuto resolves to (TG_TREE), not the choice itself.
+  Put("rf.engine", ml::ResolveTreeEngine(rf.tree.engine), &key);
   Put("rf.bins", rf.tree.max_bins, &key);
   Put("rf.ff", rf.feature_fraction, &key);
   Put("rf.seed", rf.seed, &key);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "numeric/kernel_backend.h"
 #include "numeric/stats.h"
 #include "util/atomic_file.h"
 #include "util/build_info.h"
@@ -74,6 +75,9 @@ std::string SweepFingerprint(const PipelineConfig& config,
   fp += PredictorSettingsKey(config.predictor);
   fp += "|em=" + std::string(zoo::FineTuneMethodName(config.evaluation_method));
   fp += "|tl=" + std::to_string(config.use_transferability_labels);
+  // Vector backends round differently from `scalar`, so results computed
+  // under one TG_ISA must not resume or merge under another.
+  fp += "|isa=" + std::string(kernels::ActiveBackendName());
   return fp;
 }
 

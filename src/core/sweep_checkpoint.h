@@ -27,9 +27,10 @@ struct SweepCheckpoint {
 };
 
 // Deterministic digest of everything that affects sweep results: modality,
-// strategy, every embedding input (EmbeddingConfigKey), predictor settings,
-// label source, evaluation method. Two configs with equal fingerprints
-// produce bit-identical evaluations.
+// strategy, every embedding input (EmbeddingConfigKey), predictor settings
+// (with the tree engine TG_TREE resolves to), label source, evaluation
+// method, and the active kernel backend (TG_ISA). Two configs with equal
+// fingerprints produce bit-identical evaluations.
 std::string SweepFingerprint(const PipelineConfig& config,
                              zoo::Modality modality);
 

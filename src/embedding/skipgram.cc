@@ -236,9 +236,9 @@ void SkipGramTrainer::TrainSharded(
 // with the replica average, accumulating in shard order (fixed
 // floating-point order). Rows no shard touched are exact copies of the base
 // row in every replica, so their cross-replica average collapses to
-// kernels::ReplicatedMean of the base value -- bit-identical to the full
-// merge (asserted in tests/kernels_test.cc) without reading S replicas'
-// worth of memory. config_.full_matrix_merge forces the reference path.
+// kernels::ReplicatedMean of the base value -- bit-identical to averaging
+// all S replicas (tests/kernels_test.cc pins the result) without reading S
+// replicas' worth of memory.
 void SkipGramTrainer::MergeShards(
     const std::vector<Matrix>& rep_in, const std::vector<Matrix>& rep_out,
     const std::vector<std::vector<uint8_t>>& touched_in,
@@ -268,7 +268,7 @@ void SkipGramTrainer::MergeShards(
     for (size_t r0 = 0; r0 < vocab_size_; r0 += kMergeRowBlock) {
       const size_t r1 = std::min(vocab_size_, r0 + kMergeRowBlock);
       for (size_t r = r0; r < r1; ++r) {
-        bool is_dirty = config_.full_matrix_merge;
+        bool is_dirty = false;
         for (size_t s = 0; s < shards && !is_dirty; ++s) {
           is_dirty = touched[s][r] != 0;
         }

@@ -14,7 +14,7 @@
 //
 // Dense inner loops (dot, fused pair update, replica merge) run through the
 // vectorized kernel layer in numeric/kernels.h, which also supplies the
-// tabulated training sigmoid (TG_EXACT_SIGMOID escapes to the exact form).
+// tabulated training sigmoid.
 #ifndef TG_EMBEDDING_SKIPGRAM_H_
 #define TG_EMBEDDING_SKIPGRAM_H_
 
@@ -39,15 +39,6 @@ struct SkipGramConfig {
   // positions). Part of the determinism contract -- never derived from the
   // thread count.
   size_t num_shards = 8;
-  // When false (default) the epoch-boundary parameter mixing only gathers
-  // rows some shard actually touched across the replicas; untouched rows
-  // take the same replicated-copy average from the base value alone
-  // (kernels::ReplicatedMean), which is bit-identical to the full-matrix
-  // merge because untouched replica rows are exact copies of the base.
-  // `true` forces the full vocab x dim cross-replica merge -- the
-  // pre-dirty-row reference path kept for tests and debugging
-  // (tests/kernels_test.cc asserts both paths agree bit-for-bit).
-  bool full_matrix_merge = false;
 };
 
 class SkipGramTrainer {
@@ -70,7 +61,8 @@ class SkipGramTrainer {
 
   void TrainSharded(const std::vector<std::vector<uint32_t>>& corpus,
                     const PairStream& stream, Rng* rng);
-  // Epoch-boundary parameter mixing (dirty-row or full-matrix, per config).
+  // Epoch-boundary parameter mixing over the rows some shard touched; the
+  // rest take kernels::ReplicatedMean of the base value.
   void MergeShards(const std::vector<Matrix>& rep_in,
                    const std::vector<Matrix>& rep_out,
                    const std::vector<std::vector<uint8_t>>& touched_in,

@@ -5,8 +5,9 @@
 // Backends:
 //   * scalar  -- the fixed-order unrolled C++ kernels (kernels_scalar.cc),
 //                compiled with the base architecture flags. Bit-identical to
-//                the *ScalarRef twins and to the pre-dispatch kernel layer,
-//                on every host. This is the determinism oracle.
+//                the pre-dispatch kernel layer on every host, with a hash of
+//                every entry pinned in tests/kernels_test.cc. This is the
+//                determinism oracle.
 //   * avx2    -- 256-bit AVX2+FMA intrinsics (kernels_avx2.cc, compiled with
 //                per-file -mavx2 -mfma so the rest of the binary stays
 //                runnable on any x86-64).
@@ -27,7 +28,7 @@
 // contract mul+add to FMA, so they differ from `scalar` by bounded ulps --
 // exact mode (TG_ISA=scalar) for reproducing seed outputs and golden tests,
 // fast mode (auto) for production. tests/kernels_test.cc pins the envelope
-// per backend against the ScalarRef twins.
+// per backend against the entries of ScalarBackend().
 #ifndef TG_NUMERIC_KERNEL_BACKEND_H_
 #define TG_NUMERIC_KERNEL_BACKEND_H_
 

@@ -1,14 +1,11 @@
-// Public kernel entry points. The sigmoid machinery and the *ScalarRef twins
-// live here; the dense kernels themselves dispatch through the runtime-
-// selected backend table (kernel_backend.h -- scalar/avx2/avx512/neon, one TU
-// each). The fixed-order bodies that used to be inline here moved verbatim to
-// kernels_generic.h, where kernels_scalar.cc instantiates them under the base
-// architecture flags as the `scalar` backend.
+// Public kernel entry points. The sigmoid table lives here; the dense
+// kernels dispatch through the runtime-selected backend table
+// (kernel_backend.h -- scalar/avx2/avx512/neon, one TU each). The fixed-order
+// bodies are in kernels_generic.h, where kernels_scalar.cc instantiates them
+// under the base architecture flags as the `scalar` backend.
 #include "numeric/kernels.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "numeric/kernel_backend.h"
 #include "obs/metrics.h"
@@ -16,16 +13,6 @@
 
 namespace tg::kernels {
 namespace {
-
-// Sigmoid mode word: 0 = uninitialized, 1 = tabulated, 2 = exact.
-std::atomic<int> g_sigmoid_mode{0};
-
-int InitSigmoidModeFromEnv() {
-  const char* env = std::getenv("TG_EXACT_SIGMOID");
-  const bool exact = env != nullptr && env[0] != '\0' &&
-                     !(env[0] == '0' && env[1] == '\0');
-  return exact ? 2 : 1;
-}
 
 // Midpoint-sampled sigmoid table over [-kSigmoidClip, kSigmoidClip]. Bucket
 // width 2 * clip / size; with clip 8 and 4096 entries the midpoint error is
@@ -63,22 +50,6 @@ const SigmoidTable& Table() {
 
 }  // namespace
 
-SigmoidMode GetSigmoidMode() {
-  int mode = g_sigmoid_mode.load(std::memory_order_relaxed);
-  if (mode == 0) {
-    mode = InitSigmoidModeFromEnv();
-    int expected = 0;
-    g_sigmoid_mode.compare_exchange_strong(expected, mode,
-                                           std::memory_order_relaxed);
-  }
-  return mode == 2 ? SigmoidMode::kExact : SigmoidMode::kTabulated;
-}
-
-void SetSigmoidMode(SigmoidMode mode) {
-  g_sigmoid_mode.store(mode == SigmoidMode::kExact ? 2 : 1,
-                       std::memory_order_relaxed);
-}
-
 double ExactSigmoid(double x) {
   if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
   const double e = std::exp(x);
@@ -88,16 +59,13 @@ double ExactSigmoid(double x) {
 double TabulatedSigmoid(double x) {
   if (x >= kSigmoidClip) return 1.0;
   if (x < -kSigmoidClip) return 0.0;
+  // NaN fails both clip tests; converting it to an index is undefined.
+  if (std::isnan(x)) return x;
   const double scale =
       static_cast<double>(kSigmoidTableSize) / (2.0 * kSigmoidClip);
   size_t index = static_cast<size_t>((x + kSigmoidClip) * scale);
   if (index >= kSigmoidTableSize) index = kSigmoidTableSize - 1;
   return Table().values[index];
-}
-
-double TrainingSigmoid(double x) {
-  return GetSigmoidMode() == SigmoidMode::kExact ? ExactSigmoid(x)
-                                                 : TabulatedSigmoid(x);
 }
 
 // --- Reductions --------------------------------------------------------------
@@ -107,27 +75,9 @@ double Dot(const double* a, const double* b, size_t n) {
   return ActiveBackend().dot(a, b, n);
 }
 
-double DotScalarRef(const double* a, const double* b, size_t n) {
-  const size_t main = n & ~static_cast<size_t>(3);
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < main; ++i) acc[i & 3] += a[i] * b[i];
-  double total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  for (size_t i = main; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
 double Sum(const double* a, size_t n) {
   TG_COUNT_KERNEL("sum");
   return ActiveBackend().sum(a, n);
-}
-
-double SumScalarRef(const double* a, size_t n) {
-  const size_t main = n & ~static_cast<size_t>(3);
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  for (size_t i = 0; i < main; ++i) acc[i & 3] += a[i];
-  double total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  for (size_t i = main; i < n; ++i) total += a[i];
-  return total;
 }
 
 // --- Elementwise -------------------------------------------------------------
@@ -145,28 +95,15 @@ void Axpy(double alpha, const double* x, double* y, size_t n) {
   ActiveBackend().axpy(alpha, x, y, n);
 }
 
-void AxpyScalarRef(double alpha, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void ScaleAdd(double* y, double alpha, double beta, const double* x,
               size_t n) {
   TG_COUNT_KERNEL("scale_add");
   ActiveBackend().scale_add(y, alpha, beta, x, n);
 }
 
-void ScaleAddScalarRef(double* y, double alpha, double beta, const double* x,
-                       size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] = alpha * y[i] + beta * x[i];
-}
-
 void MulAdd(double* z, const double* x, const double* y, size_t n) {
   TG_COUNT_KERNEL("mul_add");
   ActiveBackend().mul_add(z, x, y, n);
-}
-
-void MulAddScalarRef(double* z, const double* x, const double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) z[i] += x[i] * y[i];
 }
 
 // --- Histogram scatter-accumulate --------------------------------------------
@@ -183,32 +120,6 @@ void HistAccumulate(const uint16_t* codes, const size_t* rows, size_t n,
   ActiveBackend().hist_accumulate_u16(codes, rows, n, values, sums, counts);
 }
 
-namespace {
-template <typename Code>
-void HistAccumulateScalarRefImpl(const Code* codes, const size_t* rows,
-                                 size_t n, const double* values, double* sums,
-                                 double* counts) {
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = rows[i];
-    const size_t b = codes[r];
-    sums[b] += values[r];
-    counts[b] += 1.0;
-  }
-}
-}  // namespace
-
-void HistAccumulateScalarRef(const uint8_t* codes, const size_t* rows,
-                             size_t n, const double* values, double* sums,
-                             double* counts) {
-  HistAccumulateScalarRefImpl(codes, rows, n, values, sums, counts);
-}
-
-void HistAccumulateScalarRef(const uint16_t* codes, const size_t* rows,
-                             size_t n, const double* values, double* sums,
-                             double* counts) {
-  HistAccumulateScalarRefImpl(codes, rows, n, values, sums, counts);
-}
-
 // --- Fused skip-gram pair update --------------------------------------------
 
 double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,
@@ -216,18 +127,6 @@ double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,
   TG_COUNT_KERNEL("fused_update");
   return ActiveBackend().fused_dot_sigmoid_update(w, c, center_grad, n, label,
                                                   lr);
-}
-
-double FusedDotSigmoidUpdateScalarRef(const double* w, double* c,
-                                      double* center_grad, size_t n,
-                                      double label, double lr) {
-  const double g = (label - TrainingSigmoid(DotScalarRef(w, c, n))) * lr;
-  for (size_t i = 0; i < n; ++i) {
-    const double ci = c[i];
-    center_grad[i] += g * ci;
-    c[i] = ci + g * w[i];
-  }
-  return g;
 }
 
 // --- Replica averaging -------------------------------------------------------

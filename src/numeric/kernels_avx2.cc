@@ -150,7 +150,7 @@ void MulAddAvx2(double* z, const double* x, const double* y, size_t n) {
 double FusedDotSigmoidUpdateAvx2(const double* w, double* c,
                                  double* center_grad, size_t n, double label,
                                  double lr) {
-  const double g = (label - TrainingSigmoid(DotAvx2(w, c, n))) * lr;
+  const double g = (label - TabulatedSigmoid(DotAvx2(w, c, n))) * lr;
   const __m256d vg = _mm256_set1_pd(g);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {

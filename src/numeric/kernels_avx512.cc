@@ -164,7 +164,7 @@ void MulAddAvx512(double* z, const double* x, const double* y, size_t n) {
 double FusedDotSigmoidUpdateAvx512(const double* w, double* c,
                                    double* center_grad, size_t n, double label,
                                    double lr) {
-  const double g = (label - TrainingSigmoid(DotAvx512(w, c, n))) * lr;
+  const double g = (label - TabulatedSigmoid(DotAvx512(w, c, n))) * lr;
   const __m512d vg = _mm512_set1_pd(g);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {

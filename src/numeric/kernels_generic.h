@@ -18,7 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "numeric/kernels.h"  // TrainingSigmoid for the fused update
+#include "numeric/kernels.h"  // TabulatedSigmoid for the fused update
 
 namespace tg::kernels::generic {
 
@@ -174,7 +174,7 @@ inline double FusedDotSigmoidUpdate(const double* __restrict w,
                                     double* __restrict c,
                                     double* __restrict center_grad, size_t n,
                                     double label, double lr) {
-  const double g = (label - TrainingSigmoid(Dot(w, c, n))) * lr;
+  const double g = (label - TabulatedSigmoid(Dot(w, c, n))) * lr;
   const size_t main = n & ~static_cast<size_t>(3);
   for (size_t i = 0; i < main; i += 4) {
     const double c0 = c[i], c1 = c[i + 1], c2 = c[i + 2], c3 = c[i + 3];

@@ -108,7 +108,7 @@ void MulAddNeon(double* z, const double* x, const double* y, size_t n) {
 double FusedDotSigmoidUpdateNeon(const double* w, double* c,
                                  double* center_grad, size_t n, double label,
                                  double lr) {
-  const double g = (label - TrainingSigmoid(DotNeon(w, c, n))) * lr;
+  const double g = (label - TabulatedSigmoid(DotNeon(w, c, n))) * lr;
   const float64x2_t vg = vdupq_n_f64(g);
   size_t i = 0;
   for (; i + 2 <= n; i += 2) {

@@ -58,185 +58,8 @@ std::string JsonNumber(double value, int precision) {
   return buf;
 }
 
-namespace {
-
-// Recursive-descent JSON checker over [p, end). Each Parse* advances p past
-// the value it consumed or returns false leaving p at the first bad byte.
-struct JsonChecker {
-  const char* p;
-  const char* end;
-  int depth = 0;
-
-  static constexpr int kMaxDepth = 256;
-
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    const size_t n = std::strlen(lit);
-    if (static_cast<size_t>(end - p) < n || std::strncmp(p, lit, n) != 0) {
-      return false;
-    }
-    p += n;
-    return true;
-  }
-
-  bool ParseString() {
-    if (p >= end || *p != '"') return false;
-    ++p;
-    while (p < end) {
-      const unsigned char c = static_cast<unsigned char>(*p);
-      if (c == '"') {
-        ++p;
-        return true;
-      }
-      if (c < 0x20) return false;  // raw control char inside a string
-      if (c == '\\') {
-        ++p;
-        if (p >= end) return false;
-        const char e = *p;
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p;
-            if (p >= end || !std::isxdigit(static_cast<unsigned char>(*p))) {
-              return false;
-            }
-          }
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-      }
-      ++p;
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseNumber() {
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) return false;
-    if (*p == '0') {
-      ++p;
-    } else {
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
-        return false;
-      }
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
-        return false;
-      }
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    return p > start;
-  }
-
-  bool ParseValue() {
-    SkipWs();
-    if (p >= end || ++depth > kMaxDepth) return false;
-    bool ok = false;
-    switch (*p) {
-      case '{':
-        ok = ParseObject();
-        break;
-      case '[':
-        ok = ParseArray();
-        break;
-      case '"':
-        ok = ParseString();
-        break;
-      case 't':
-        ok = Literal("true");
-        break;
-      case 'f':
-        ok = Literal("false");
-        break;
-      case 'n':
-        ok = Literal("null");
-        break;
-      default:
-        ok = ParseNumber();
-    }
-    --depth;
-    return ok;
-  }
-
-  bool ParseObject() {
-    ++p;  // '{'
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!ParseString()) return false;
-      SkipWs();
-      if (p >= end || *p != ':') return false;
-      ++p;
-      if (!ParseValue()) return false;
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      if (p < end && *p == '}') {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray() {
-    ++p;  // '['
-    SkipWs();
-    if (p < end && *p == ']') {
-      ++p;
-      return true;
-    }
-    for (;;) {
-      if (!ParseValue()) return false;
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      if (p < end && *p == ']') {
-        ++p;
-        return true;
-      }
-      return false;
-    }
-  }
-};
-
-}  // namespace
-
-Status JsonValidate(const std::string& text) {
-  JsonChecker checker{text.data(), text.data() + text.size()};
-  const bool ok = checker.ParseValue();
-  if (ok) {
-    checker.SkipWs();
-    if (checker.p == checker.end) return Status::OK();
-  }
-  return Status::InvalidArgument(
-      "invalid JSON at byte offset " +
-      std::to_string(checker.p - text.data()));
-}
-
-// Recursive-descent parser sharing the checker's grammar; kept separate so
-// the validator stays allocation-free for its hot use (exporter self-checks).
+// Recursive-descent parser over [p, end). Each Parse* advances p past the
+// value it consumed or returns false leaving p at the first bad byte.
 struct JsonParser {
   const char* p;
   const char* begin;
@@ -329,14 +152,35 @@ struct JsonParser {
     return false;  // unterminated
   }
 
+  void SkipDigits() {
+    while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+  }
+
+  // JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool ParseNumber(double* out) {
     const char* start = p;
-    JsonChecker number_checker{p, end};
-    if (!number_checker.ParseNumber()) {
-      p = number_checker.p;
-      return false;
+    if (p < end && *p == '-') ++p;
+    if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) return false;
+    if (*p == '0') {
+      ++p;
+    } else {
+      SkipDigits();
     }
-    p = number_checker.p;
+    if (p < end && *p == '.') {
+      ++p;
+      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
+        return false;
+      }
+      SkipDigits();
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+      ++p;
+      if (p < end && (*p == '+' || *p == '-')) ++p;
+      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
+        return false;
+      }
+      SkipDigits();
+    }
     *out = std::strtod(start, nullptr);
     return true;
   }
@@ -443,6 +287,10 @@ Result<JsonValue> JsonValue::Parse(const std::string& text) {
     if (parser.p == parser.end) return value;
   }
   return parser.Error();
+}
+
+Status JsonValidate(const std::string& text) {
+  return JsonValue::Parse(text).status();
 }
 
 bool JsonValue::AsBool(bool fallback) const {

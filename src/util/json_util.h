@@ -1,8 +1,10 @@
-// Minimal JSON output + validation helpers shared by every exporter that
-// hand-writes JSON (trace/metrics exporters, bench timing writer). This is
-// deliberately not a full JSON library: writers compose strings with
-// JsonEscape/JsonQuote, and JsonValidate is a strict syntax checker used by
-// tests and the CLI to assert that emitted files actually parse.
+// Minimal JSON output + parsing helpers shared by every exporter that
+// hand-writes JSON (trace/metrics exporters, bench timing writer) and every
+// reader of checkpoints, shards and manifests. This is deliberately not a
+// full JSON library: writers compose strings with JsonEscape/JsonQuote, and
+// one strict recursive-descent parser (JsonValue::Parse) reads documents;
+// JsonValidate is that parser's verdict, used by tests and the CLI to assert
+// that emitted files actually parse.
 #ifndef TG_UTIL_JSON_UTIL_H_
 #define TG_UTIL_JSON_UTIL_H_
 
@@ -28,10 +30,11 @@ std::string JsonQuote(const std::string& text);
 // represent) become 0 with no error -- exporters must not emit NaN/Inf.
 std::string JsonNumber(double value, int precision = 6);
 
-// Strict recursive-descent validation of a complete JSON document (object,
-// array, string, number, true/false/null; UTF-8 passthrough). Returns OK if
-// `text` is exactly one valid JSON value plus optional trailing whitespace,
-// otherwise InvalidArgument with the byte offset of the first error.
+// Strict validation of a complete JSON document (object, array, string,
+// number, true/false/null; UTF-8 passthrough; nesting depth at most 256):
+// JsonValue::Parse(text).status(). Returns OK if `text` is exactly one valid
+// JSON value plus optional trailing whitespace, otherwise InvalidArgument
+// with the byte offset of the first error.
 Status JsonValidate(const std::string& text);
 
 // Parsed JSON document node. Deliberately tiny: enough for the in-tree
@@ -43,9 +46,9 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  // Parses exactly one JSON value (plus optional trailing whitespace), with
-  // the same grammar JsonValidate accepts. InvalidArgument on malformed
-  // input with the byte offset of the first error.
+  // Parses exactly one JSON value (plus optional trailing whitespace).
+  // InvalidArgument on malformed input with the byte offset of the first
+  // error.
   static Result<JsonValue> Parse(const std::string& text);
 
   Kind kind() const { return kind_; }

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "core/recommender.h"
 #include "core/sweep_checkpoint.h"
 #include "ml/tree_engine.h"
+#include "numeric/kernel_backend.h"
 #include "util/check.h"
 #include "util/fault.h"
 
@@ -187,7 +190,11 @@ TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
         c->predictor.random_forest.tree.max_features = 3;
       },
       [](PipelineConfig* c) {
-        c->predictor.random_forest.tree.engine = ml::TreeEngineChoice::kHist;
+        // The engine the default (kAuto) does not resolve to.
+        c->predictor.random_forest.tree.engine =
+            ml::DefaultTreeEngine() == ml::TreeEngine::kExact
+                ? ml::TreeEngineChoice::kHist
+                : ml::TreeEngineChoice::kExact;
       },
       [](PipelineConfig* c) { c->predictor.random_forest.tree.max_bins = 9; },
       [](PipelineConfig* c) {
@@ -226,6 +233,34 @@ TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
         << "predictor field " << index;
     ++index;
   }
+}
+
+// A checkpoint, shard or manifest written under one numeric setting must not
+// resume or merge under another, so the fingerprint records the tree engine
+// TG_TREE resolves to and the active kernel backend -- not the unresolved
+// kAuto choice, which reads the same under every setting.
+TEST(SweepFingerprintTest, CoversResolvedTreeEngine) {
+  const ml::TreeEngine saved = ml::DefaultTreeEngine();
+  const PipelineConfig config;
+  ml::SetDefaultTreeEngine(ml::TreeEngine::kExact);
+  const std::string exact = SweepFingerprint(config, zoo::Modality::kImage);
+  ml::SetDefaultTreeEngine(ml::TreeEngine::kHist);
+  const std::string hist = SweepFingerprint(config, zoo::Modality::kImage);
+  ml::SetDefaultTreeEngine(saved);
+  EXPECT_NE(exact, hist);
+}
+
+TEST(SweepFingerprintTest, CoversKernelBackend) {
+  const std::vector<std::string> names = kernels::AvailableBackendNames();
+  if (names.size() < 2) GTEST_SKIP() << "only the scalar backend exists";
+  const std::string saved = kernels::ActiveBackendName();
+  const PipelineConfig config;
+  EXPECT_TRUE(kernels::SetActiveBackend("scalar"));
+  const std::string scalar = SweepFingerprint(config, zoo::Modality::kImage);
+  EXPECT_TRUE(kernels::SetActiveBackend(names.back()));
+  const std::string widest = SweepFingerprint(config, zoo::Modality::kImage);
+  EXPECT_TRUE(kernels::SetActiveBackend(saved));
+  EXPECT_NE(scalar, widest) << names.back();
 }
 
 TEST_F(PipelineTest, GraphSageLearnerRuns) {

@@ -284,6 +284,46 @@ TEST(JsonValueTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(JsonValue::Parse(R"({"a": 01})").ok());
 }
 
+// JsonValidate and JsonValue::Parse accept one grammar: on every document
+// they must agree on the verdict and, for malformed input, on the byte
+// offset of the first error.
+TEST(JsonValueTest, ValidateAndParseAgreeOnEveryDocument) {
+  const std::string nested_256 =
+      std::string(256, '[') + std::string(256, ']');
+  const std::string nested_257 =
+      std::string(257, '[') + std::string(257, ']');
+  const std::vector<std::string> documents = {
+      // Valid.
+      "0", "-0", "-12.5e+3", "1E-2", "true", "false", "null", "\"\"",
+      R"("esc \" \\ \/ \b \f \n \r \t \u00e9 \uABCD")",
+      " \t\n\r{} ", "[]", R"({"a": [1, 2.5, -3e2, true, null], "b": {}})",
+      "\"\xc3\xa9 utf-8 passthrough\"", nested_256,
+      // Malformed: trailing commas.
+      "[1, 2,]", R"({"a": 1,})", "[,]",
+      // Leading zeros and other bad numbers.
+      "01", "-01", R"({"a": 01})", "1.", ".5", "-", "1e", "1e+", "+1", "0x10",
+      // Raw control characters inside strings.
+      "\"a\nb\"", "\"a\x01" "b\"", "\"tab\there\"",
+      // Bad escapes.
+      R"("\u12")", R"("\u12G4")", R"("\x41")", R"("\)",
+      // Truncation.
+      "", " ", "{", "[", "[1", R"({"a")", R"({"a":)", R"({"a": 1)", "\"abc",
+      "tru", "nul", "fals",
+      // Trailing garbage and structural errors.
+      "[1] trailing", "{} {}", "1 2", "[1 2]", R"({"a" 1})", R"({1: 2})",
+      "truex", "nullnull",
+      // Nesting beyond the depth limit.
+      nested_257,
+  };
+  for (const std::string& doc : documents) {
+    EXPECT_EQ(JsonValidate(doc).ToString(),
+              JsonValue::Parse(doc).status().ToString())
+        << "document: " << doc.substr(0, 40);
+  }
+  EXPECT_TRUE(JsonValidate(nested_256).ok());
+  EXPECT_FALSE(JsonValidate(nested_257).ok());
+}
+
 TEST(JsonValueTest, RoundTripsQuotedStrings) {
   const std::string original = "line\nbreak \"quoted\" tab\t";
   Result<JsonValue> parsed = JsonValue::Parse(JsonQuote(original));

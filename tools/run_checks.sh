@@ -2,10 +2,11 @@
 # Pre-PR gate: Release + ThreadSanitizer builds, both test suites (the TSan
 # pass covers the concurrent allocation tracking in obs_memory_test), an
 # UndefinedBehaviorSanitizer pass over the kernel layer, the
-# transferability estimators and the statistics helpers, and the chaos and
-# distributed-sweep tests (any UB report fails it), a kernel-backend
-# dispatch gate (kernels_test, autograd_test and gnn_test under
-# TG_ISA=scalar and under the widest host-supported backend, plus a
+# transferability estimators, the statistics helpers and the util layer
+# (whose one JSON parser reads every checkpoint, shard and manifest), and
+# the chaos and distributed-sweep tests (any UB report fails it), a
+# kernel-backend dispatch gate (kernels_test, autograd_test and gnn_test
+# under TG_ISA=scalar and under the widest host-supported backend, plus a
 # forced-unavailable hard-error check), a
 # kernels micro-bench smoke run, a bench-history append + regression compare
 # (with an injected-regression self-test of the gate, pinned
@@ -68,11 +69,11 @@ if [ "$SKIP_UBSAN" -eq 1 ]; then
 else
   section "UBSan kernel-layer tests"
   # Focused pass: the unrolled kernels, the sigmoid table, PARC's tiled
-  # triangular pair loop and the radix rank sort are the code most exposed
-  # to pointer/index arithmetic mistakes, so they get a dedicated UB check
-  # even when the full-matrix sanitizer suite is too slow for the pre-PR
-  # loop.
-  UBSAN_KERNEL_TESTS="kernels_test transferability_test stats_test"
+  # triangular pair loop, the radix rank sort and the JSON parser are the
+  # code most exposed to pointer/index arithmetic mistakes, so they get a
+  # dedicated UB check even when the full-matrix sanitizer suite is too slow
+  # for the pre-PR loop.
+  UBSAN_KERNEL_TESTS="kernels_test transferability_test stats_test util_test"
   cmake -B build-ubsan -S . -DTG_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target $UBSAN_KERNEL_TESTS
