@@ -305,7 +305,7 @@ double SkipGramTrainer::PairProbability(uint32_t center,
                                         uint32_t context) const {
   TG_CHECK_LT(center, vocab_size_);
   TG_CHECK_LT(context, vocab_size_);
-  // Inference-quality score: exact sigmoid regardless of the training mode.
+  // Inference-quality score: ExactSigmoid, where training uses the table.
   return kernels::ExactSigmoid(kernels::Dot(
       input_.RowPtr(center), output_.RowPtr(context), config_.dim));
 }

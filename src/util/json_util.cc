@@ -59,7 +59,9 @@ std::string JsonNumber(double value, int precision) {
 }
 
 // Recursive-descent parser over [p, end). Each Parse* advances p past the
-// value it consumed or returns false leaving p at the first bad byte.
+// value it consumed or returns false leaving p at the first bad byte. A null
+// output pointer checks the same grammar without building anything, so
+// JsonValidate stays allocation-free however large the document.
 struct JsonParser {
   const char* p;
   const char* begin;
@@ -89,6 +91,7 @@ struct JsonParser {
   }
 
   static void AppendUtf8(std::string* out, unsigned code) {
+    if (out == nullptr) return;
     if (code < 0x80) {
       *out += static_cast<char>(code);
     } else if (code < 0x800) {
@@ -114,17 +117,17 @@ struct JsonParser {
       if (c == '\\') {
         ++p;
         if (p >= end) return false;
+        unsigned code = 0;
         switch (*p) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
+          case '"': code = '"'; break;
+          case '\\': code = '\\'; break;
+          case '/': code = '/'; break;
+          case 'b': code = '\b'; break;
+          case 'f': code = '\f'; break;
+          case 'n': code = '\n'; break;
+          case 'r': code = '\r'; break;
+          case 't': code = '\t'; break;
           case 'u': {
-            unsigned code = 0;
             for (int i = 0; i < 4; ++i) {
               ++p;
               if (p >= end || !std::isxdigit(static_cast<unsigned char>(*p))) {
@@ -137,16 +140,16 @@ struct JsonParser {
             }
             // Surrogate pairs are passed through as two 3-byte sequences
             // (CESU-8-style); the in-tree writers never emit them.
-            AppendUtf8(out, code);
             break;
           }
           default:
             return false;
         }
+        AppendUtf8(out, code);
         ++p;
         continue;
       }
-      *out += static_cast<char>(c);
+      if (out != nullptr) *out += static_cast<char>(c);
       ++p;
     }
     return false;  // unterminated
@@ -181,45 +184,46 @@ struct JsonParser {
       }
       SkipDigits();
     }
-    *out = std::strtod(start, nullptr);
+    if (out != nullptr) *out = std::strtod(start, nullptr);
     return true;
   }
 
   bool ParseValue(JsonValue* out) {
     SkipWs();
     if (p >= end || ++depth > kMaxDepth) return false;
+    JsonValue::Kind kind;
     bool ok = false;
     switch (*p) {
       case '{':
-        out->kind_ = JsonValue::Kind::kObject;
+        kind = JsonValue::Kind::kObject;
         ok = ParseObject(out);
         break;
       case '[':
-        out->kind_ = JsonValue::Kind::kArray;
+        kind = JsonValue::Kind::kArray;
         ok = ParseArray(out);
         break;
       case '"':
-        out->kind_ = JsonValue::Kind::kString;
-        ok = ParseString(&out->string_);
+        kind = JsonValue::Kind::kString;
+        ok = ParseString(out != nullptr ? &out->string_ : nullptr);
         break;
       case 't':
-        out->kind_ = JsonValue::Kind::kBool;
-        out->bool_ = true;
+        kind = JsonValue::Kind::kBool;
         ok = Literal("true");
+        if (out != nullptr) out->bool_ = true;
         break;
       case 'f':
-        out->kind_ = JsonValue::Kind::kBool;
-        out->bool_ = false;
+        kind = JsonValue::Kind::kBool;
         ok = Literal("false");
         break;
       case 'n':
-        out->kind_ = JsonValue::Kind::kNull;
+        kind = JsonValue::Kind::kNull;
         ok = Literal("null");
         break;
       default:
-        out->kind_ = JsonValue::Kind::kNumber;
-        ok = ParseNumber(&out->number_);
+        kind = JsonValue::Kind::kNumber;
+        ok = ParseNumber(out != nullptr ? &out->number_ : nullptr);
     }
+    if (out != nullptr) out->kind_ = kind;
     --depth;
     return ok;
   }
@@ -234,13 +238,15 @@ struct JsonParser {
     for (;;) {
       SkipWs();
       std::string key;
-      if (!ParseString(&key)) return false;
+      if (!ParseString(out != nullptr ? &key : nullptr)) return false;
       SkipWs();
       if (p >= end || *p != ':') return false;
       ++p;
       JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->object_.emplace_back(std::move(key), std::move(value));
+      if (!ParseValue(out != nullptr ? &value : nullptr)) return false;
+      if (out != nullptr) {
+        out->object_.emplace_back(std::move(key), std::move(value));
+      }
       SkipWs();
       if (p < end && *p == ',') {
         ++p;
@@ -263,8 +269,8 @@ struct JsonParser {
     }
     for (;;) {
       JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->array_.push_back(std::move(value));
+      if (!ParseValue(out != nullptr ? &value : nullptr)) return false;
+      if (out != nullptr) out->array_.push_back(std::move(value));
       SkipWs();
       if (p < end && *p == ',') {
         ++p;
@@ -279,18 +285,25 @@ struct JsonParser {
   }
 };
 
-Result<JsonValue> JsonValue::Parse(const std::string& text) {
+// Parses one JSON value plus optional trailing whitespace into `out`, or
+// only checks it when `out` is null.
+static Status ParseDocument(const std::string& text, JsonValue* out) {
   JsonParser parser{text.data(), text.data(), text.data() + text.size()};
-  JsonValue value;
-  if (parser.ParseValue(&value)) {
+  if (parser.ParseValue(out)) {
     parser.SkipWs();
-    if (parser.p == parser.end) return value;
+    if (parser.p == parser.end) return Status::OK();
   }
   return parser.Error();
 }
 
+Result<JsonValue> JsonValue::Parse(const std::string& text) {
+  JsonValue value;
+  TG_RETURN_IF_ERROR(ParseDocument(text, &value));
+  return value;
+}
+
 Status JsonValidate(const std::string& text) {
-  return JsonValue::Parse(text).status();
+  return ParseDocument(text, nullptr);
 }
 
 bool JsonValue::AsBool(bool fallback) const {

@@ -31,10 +31,12 @@ std::string JsonQuote(const std::string& text);
 std::string JsonNumber(double value, int precision = 6);
 
 // Strict validation of a complete JSON document (object, array, string,
-// number, true/false/null; UTF-8 passthrough; nesting depth at most 256):
-// JsonValue::Parse(text).status(). Returns OK if `text` is exactly one valid
-// JSON value plus optional trailing whitespace, otherwise InvalidArgument
-// with the byte offset of the first error.
+// number, true/false/null; UTF-8 passthrough; nesting depth at most 256).
+// Runs the JsonValue::Parse grammar without building a value, so it returns
+// the same Status as JsonValue::Parse(text).status() in constant memory: OK
+// if `text` is exactly one valid JSON value plus optional trailing
+// whitespace, otherwise InvalidArgument with the byte offset of the first
+// error.
 Status JsonValidate(const std::string& text);
 
 // Parsed JSON document node. Deliberately tiny: enough for the in-tree

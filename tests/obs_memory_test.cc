@@ -78,6 +78,30 @@ TEST_F(ObsMemoryTest, DisabledTrackingFreezesCounters) {
   EXPECT_EQ(delta.count, 0u);
 }
 
+// The CLI self-checks every --trace export with JsonValidate, and a sweep
+// trace runs to hundreds of thousands of events, so validation must not
+// build the document tree that JsonValue::Parse does.
+TEST_F(ObsMemoryTest, JsonValidateAllocatesNothing) {
+  std::string doc = "{\"traceEvents\": [";
+  for (int i = 0; i < 1000; ++i) {
+    if (i > 0) doc += ", ";
+    doc += "{\"name\": \"split_search\", \"ph\": \"X\", \"ts\": " +
+           std::to_string(i) + ".5, \"args\": {\"esc\": \"a\\u00e9\\n\"}}";
+  }
+  doc += "]}";
+  obs::SetMemoryTrackingEnabled(true);
+  BurnHeap(4096);  // ensure this thread's counters exist
+  const obs::AllocStats before = obs::ThreadAllocStats();
+  const Status valid = JsonValidate(doc);
+  const obs::AllocStats validate = obs::ThreadAllocStats() - before;
+  const bool parsed = JsonValue::Parse(doc).ok();
+  const obs::AllocStats parse = obs::ThreadAllocStats() - before - validate;
+  ASSERT_TRUE(valid.ok()) << valid.ToString();
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(validate.count, 0u);
+  EXPECT_GT(parse.count, 1000u);
+}
+
 TEST_F(ObsMemoryTest, SpanRecordsAttributeAllocationsInclusively) {
   obs::SetMemoryTrackingEnabled(true);
   obs::SetTraceEnabled(true);
