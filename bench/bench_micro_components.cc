@@ -346,43 +346,11 @@ void ReportParallelSpeedups() {
     benchmark::DoNotOptimize(model.Fit(data));
   });
 
-  // Same forest workload under the histogram engine. Recorded as its own
-  // stage so exact and hist trend independently in BENCH_history.json.
-  ml::RandomForestConfig rf_hist_config = rf_config;
-  rf_hist_config.tree.engine = ml::TreeEngineChoice::kHist;
-  ReportOneSpeedup("random_forest_fit_hist", "forest_fit", [&] {
-    ml::RandomForest model(rf_hist_config);
-    benchmark::DoNotOptimize(model.Fit(data));
-  });
-
   ml::GbdtConfig gbdt_config;
   gbdt_config.num_trees = 50;
   ReportOneSpeedup("gbdt_fit", "gbdt_fit", [&] {
     ml::Gbdt model(gbdt_config);
     benchmark::DoNotOptimize(model.Fit(data));
-  });
-
-  // Exact vs hist at 10x the pipeline's row count: binning's O(bins) split
-  // scan only pulls ahead of the pre-sorted exact walk once rows dominate,
-  // which is exactly the regime the pipeline grows into.
-  Rng big_rng(14);
-  ml::TabularDataset big;
-  big.x = Matrix::Gaussian(20000, 64, &big_rng);
-  big.y.resize(20000);
-  for (size_t i = 0; i < big.y.size(); ++i) {
-    big.y[i] = big.x(i, 3) + big_rng.NextGaussian(0.0, 0.1);
-  }
-  ml::RandomForestConfig big_config = rf_config;
-  big_config.num_trees = 20;
-  ReportOneSpeedup("forest_fit_10x_exact", "forest_fit", [&] {
-    ml::RandomForest model(big_config);
-    benchmark::DoNotOptimize(model.Fit(big));
-  });
-  ml::RandomForestConfig big_hist = big_config;
-  big_hist.tree.engine = ml::TreeEngineChoice::kHist;
-  ReportOneSpeedup("forest_fit_10x_hist", "forest_fit", [&] {
-    ml::RandomForest model(big_hist);
-    benchmark::DoNotOptimize(model.Fit(big));
   });
 }
 

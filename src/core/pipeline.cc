@@ -10,7 +10,6 @@
 
 #include "core/sweep_checkpoint.h"
 #include "util/backoff.h"
-#include "ml/tree_engine.h"
 #include "numeric/pca.h"
 #include "numeric/stats.h"
 #include "obs/event_log.h"
@@ -143,9 +142,6 @@ std::string PredictorSettingsKey(const PredictorSettings& settings) {
   Put("rf.leaf", rf.tree.min_samples_leaf, &key);
   Put("rf.split", rf.tree.min_samples_split, &key);
   Put("rf.feat", rf.tree.max_features, &key);
-  // The engine kAuto resolves to (TG_TREE), not the choice itself.
-  Put("rf.engine", ml::ResolveTreeEngine(rf.tree.engine), &key);
-  Put("rf.bins", rf.tree.max_bins, &key);
   Put("rf.ff", rf.feature_fraction, &key);
   Put("rf.seed", rf.seed, &key);
   const ml::GbdtConfig& gb = settings.gbdt;

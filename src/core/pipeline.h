@@ -111,8 +111,7 @@ void ClearSweepDrain();  // tests / repeated sweeps within one process
 // doubles at %.17g. It is the embedding cache key, and SweepFingerprint
 // builds on it, so a field added here reaches both.
 std::string EmbeddingConfigKey(const PipelineConfig& config);
-// The prediction-model settings in the same form, with the tree engine as
-// resolved under TG_TREE (part of SweepFingerprint).
+// The prediction-model settings in the same form (part of SweepFingerprint).
 std::string PredictorSettingsKey(const PredictorSettings& settings);
 
 class Pipeline {

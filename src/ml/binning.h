@@ -1,6 +1,4 @@
-// Quantile feature binning shared by the histogram GBDT (gbdt.cc) and the
-// decision tree's histogram split engine (decision_tree.cc, TG_TREE=hist).
-// Extracted verbatim from the GBDT so both produce identical bin boundaries.
+// Quantile feature binning for the histogram GBDT (gbdt.cc).
 #ifndef TG_ML_BINNING_H_
 #define TG_ML_BINNING_H_
 

@@ -28,7 +28,7 @@ using Double2 = double __attribute__((vector_size(16)));
 
 // Histogram bytes of one feature block: its bins stay in L1 while the
 // node's rows scatter into them.
-constexpr size_t kBlockHistBytes = 16 * 1024;
+constexpr size_t kMaxBlockBytes = 16 * 1024;
 
 // Rows scattered per pass over a block's features; they share each
 // feature's slot load and loop overhead.
@@ -155,7 +155,7 @@ Status Gbdt::Fit(const TabularDataset& data) {
 
   // Histogram slots: active feature j owns bins [offset[j], offset[j + 1])
   // of one buffer. Consecutive features group into blocks of at most
-  // kBlockHistBytes of histogram (at least one feature each); blocks own
+  // kMaxBlockBytes of histogram (at least one feature each); blocks own
   // disjoint slot ranges, so they fill and scan concurrently without
   // per-thread copies.
   std::vector<size_t> offset(m + 1, 0);
@@ -165,7 +165,7 @@ Status Gbdt::Fit(const TabularDataset& data) {
     const size_t bins = edges[active[j]].size() + 1;
     offset[j + 1] = offset[j] + bins;
     const size_t bytes = bins * sizeof(Double2);
-    if (j == 0 || block_bytes + bytes > kBlockHistBytes) {
+    if (j == 0 || block_bytes + bytes > kMaxBlockBytes) {
       block_begin.push_back(j);
       block_bytes = 0;
     }
@@ -344,8 +344,7 @@ Status Gbdt::Fit(const TabularDataset& data) {
                 }
               });
         }
-        // One histogram build per node (covering all features), matching the
-        // decision tree's hist engine so tree.hist_builds has uniform units.
+        // One histogram build per node (covering all features).
         BumpGbdtCounters(
             std::accumulate(block_evals.begin(), block_evals.end(),
                             uint64_t{0}),

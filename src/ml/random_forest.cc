@@ -33,19 +33,13 @@ Status RandomForest::Fit(const TabularDataset& data) {
   // seed, so the fitted forest is bit-identical for any thread count.
   //
   // The column-major feature copy is built once and shared read-only by
-  // every tree, together with the split engine's per-dataset side structure:
-  // the (value, row index) sorted orders for the exact engine, or the
-  // quantile bin edges + codes for the hist engine (TG_TREE / tree_engine.h).
-  // Building them here, before the parallel loop, keeps the shared object
-  // immutable under the per-tree fits.
+  // every tree, together with its (value, row index) sorted orders. Building
+  // them here, before the parallel loop, keeps the shared object immutable
+  // under the per-tree fits.
   const Rng base_rng(config_.seed);
   const size_t n = data.num_rows();
   FeatureColumns columns(data.x);
-  if (ResolveTreeEngine(tree_config.engine) == TreeEngine::kExact) {
-    columns.EnsureSortedOrders();
-  } else {
-    columns.EnsureHistBins(tree_config.max_bins);
-  }
+  columns.EnsureSortedOrders();
   trees_.resize(static_cast<size_t>(config_.num_trees),
                 DecisionTree(tree_config));
   // Work estimate: each tree visits ~n bootstrap rows per level; tiny fits

@@ -1,42 +1,14 @@
-// Split-search engine selection for the CART trees (decision_tree.cc).
-//
-// Engines:
-//   * exact -- pre-sorted exact greedy splits: per-feature sorted row orders
-//              are computed once per FeatureColumns and walked per node with
-//              an in-place stable partition, so no node ever sorts. Produces
-//              bit-identical trees to the historical per-node-sort
-//              implementation (same thresholds, same tie-breaks). Default.
-//   * hist  -- LightGBM-style histogram splits: quantile-binned feature
-//              codes built once per fit, per-node histogram accumulation
-//              through the kernels::HistAccumulate backend entry, and the
-//              sibling-subtraction trick (parent minus smaller child gives
-//              the larger child's histogram for free). O(bins) per split
-//              instead of O(rows); thresholds snap to bin edges, so trees
-//              differ from exact mode like any other hyperparameter change.
-//
-// Selection mirrors the TG_ISA discipline: the first DefaultTreeEngine()
-// call reads TG_TREE ({exact, hist}; unset/empty means exact) and an unknown
-// value is a hard error -- a forced knob that silently fell back would
-// invalidate whatever the caller was trying to measure or reproduce.
+// The name of the CART split engine (decision_tree.h): the exact pre-sorted
+// engine is the only one, so both functions are constants. Their only caller
+// is the `tree_engine` field of perfbench's provenance line
+// (perfbench/sweep_bench.cc); drop them together with that field.
 #ifndef TG_ML_TREE_ENGINE_H_
 #define TG_ML_TREE_ENGINE_H_
 
 namespace tg::ml {
 
-enum class TreeEngine { kExact, kHist };
-
-// Per-config override; kAuto defers to the process-wide default (TG_TREE).
-enum class TreeEngineChoice { kAuto, kExact, kHist };
-
-// The process-wide default engine: resolved from TG_TREE on first call,
-// overridable at runtime (tests, benches) with SetDefaultTreeEngine.
-TreeEngine DefaultTreeEngine();
-void SetDefaultTreeEngine(TreeEngine engine);
-
-// kAuto -> DefaultTreeEngine(), otherwise the forced choice.
-TreeEngine ResolveTreeEngine(TreeEngineChoice choice);
-
-const char* TreeEngineName(TreeEngine engine);
+inline const char* DefaultTreeEngine() { return "exact"; }
+inline const char* TreeEngineName(const char* engine) { return engine; }
 
 }  // namespace tg::ml
 

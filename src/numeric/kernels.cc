@@ -106,20 +106,6 @@ void MulAdd(double* z, const double* x, const double* y, size_t n) {
   ActiveBackend().mul_add(z, x, y, n);
 }
 
-// --- Histogram scatter-accumulate --------------------------------------------
-
-void HistAccumulate(const uint8_t* codes, const size_t* rows, size_t n,
-                    const double* values, double* sums, double* counts) {
-  TG_COUNT_KERNEL("hist_accumulate");
-  ActiveBackend().hist_accumulate_u8(codes, rows, n, values, sums, counts);
-}
-
-void HistAccumulate(const uint16_t* codes, const size_t* rows, size_t n,
-                    const double* values, double* sums, double* counts) {
-  TG_COUNT_KERNEL("hist_accumulate");
-  ActiveBackend().hist_accumulate_u16(codes, rows, n, values, sums, counts);
-}
-
 // --- Fused skip-gram pair update --------------------------------------------
 
 double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,

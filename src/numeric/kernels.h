@@ -31,7 +31,6 @@
 #define TG_NUMERIC_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace tg::kernels {
 
@@ -71,19 +70,6 @@ void ScaleAdd(double* y, double alpha, double beta, const double* x, size_t n);
 // backend performs the two-rounding mul-then-add sequence. None of the three
 // arrays may alias.
 void MulAdd(double* z, const double* x, const double* y, size_t n);
-
-// --- Histogram scatter-accumulate (binned tree training) --------------------
-
-// For i in [0, n) in order: r = rows[i]; b = codes[r];
-//   sums[b] += values[r]; counts[b] += 1.0.
-// Bins repeat across iterations, so the adds form a serial dependence chain
-// in index order; every backend keeps that order (vector backends only add
-// software prefetch around the same adds), which makes this kernel
-// bit-identical across ALL backends -- asserted in tests/kernels_test.cc.
-void HistAccumulate(const uint8_t* codes, const size_t* rows, size_t n,
-                    const double* values, double* sums, double* counts);
-void HistAccumulate(const uint16_t* codes, const size_t* rows, size_t n,
-                    const double* values, double* sums, double* counts);
 
 // --- Fused skip-gram pair update --------------------------------------------
 

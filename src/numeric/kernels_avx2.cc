@@ -16,7 +16,6 @@
 //     uses no FMA, so it too is bit-identical to the scalar backend.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
-#include "numeric/kernels_generic.h"  // HistAccumulatePrefetch (scalar adds)
 
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
 #include <immintrin.h>
@@ -196,12 +195,6 @@ const KernelBackend kAvx2Backend = {
     AxpyAvx2,
     ScaleAddAvx2,
     MulAddAvx2,
-    // The histogram scatter is a serial dependence chain (bins repeat), so
-    // there is nothing to vectorize; the win on this backend is hiding the
-    // row-gather latency behind software prefetch. Same adds, same order:
-    // bit-identical to the scalar backend.
-    generic::HistAccumulatePrefetch<uint8_t>,
-    generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateAvx2,
     ReplicatedMeanAvx2,
 };

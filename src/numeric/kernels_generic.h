@@ -1,13 +1,9 @@
-// The fixed-order unrolled scalar kernel bodies, shared as inline functions
-// so each backend TU can instantiate them under its own compile flags:
-//
-//   * kernels_scalar.cc includes this under the base architecture flags --
-//     that instantiation is the `scalar` backend and is bit-identical to the
-//     pre-dispatch kernel layer (same source, same flags; GCC/Clang cannot
-//     contract mul+add to FMA there because the base x86-64 ISA has no FMA).
-//   * The vector backends (kernels_avx2.cc, ...) use these only for short-n
-//     fallbacks, where their -mfma flags may contract -- that difference is
-//     covered by the documented ulp envelope, never by the scalar backend.
+// The fixed-order unrolled scalar kernel bodies. kernels_scalar.cc includes
+// this under the base architecture flags -- that instantiation is the
+// `scalar` backend and is bit-identical to the pre-dispatch kernel layer
+// (same source, same flags; GCC/Clang cannot contract mul+add to FMA there
+// because the base x86-64 ISA has no FMA). The vector backends
+// (kernels_avx2.cc, ...) carry their own bodies and do not include it.
 //
 // Kernel order for reductions (see kernels.h): four interleaved partial
 // accumulators over the largest multiple-of-4 prefix, combined as
@@ -16,7 +12,6 @@
 #define TG_NUMERIC_KERNELS_GENERIC_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "numeric/kernels.h"  // TabulatedSigmoid for the fused update
 
@@ -127,47 +122,6 @@ inline void MulAdd(double* __restrict z, const double* __restrict x,
     z[i + 3] += x[i + 3] * y[i + 3];
   }
   for (size_t i = main; i < n; ++i) z[i] += x[i] * y[i];
-}
-
-// Histogram scatter-accumulate (see kernel_backend.h). Bins repeat across
-// iterations, so the adds are a serial dependence chain in index order --
-// every backend must keep that order, which is exactly why the kernel is
-// bit-identical across backends. The plain body below is the scalar
-// backend; HistAccumulatePrefetch adds software prefetch of the gathered
-// rows (a hint, not arithmetic) for the vector backend tables.
-template <typename Code>
-inline void HistAccumulate(const Code* codes, const size_t* rows, size_t n,
-                           const double* values, double* sums,
-                           double* counts) {
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = rows[i];
-    const size_t b = codes[r];
-    sums[b] += values[r];
-    counts[b] += 1.0;
-  }
-}
-
-template <typename Code>
-inline void HistAccumulatePrefetch(const Code* codes, const size_t* rows,
-                                   size_t n, const double* values,
-                                   double* sums, double* counts) {
-  constexpr size_t kAhead = 16;  // ~one L2 miss of row-gather latency
-  size_t i = 0;
-  for (; i + kAhead < n; ++i) {
-    const size_t ahead = rows[i + kAhead];
-    __builtin_prefetch(codes + ahead, 0, 1);
-    __builtin_prefetch(values + ahead, 0, 1);
-    const size_t r = rows[i];
-    const size_t b = codes[r];
-    sums[b] += values[r];
-    counts[b] += 1.0;
-  }
-  for (; i < n; ++i) {
-    const size_t r = rows[i];
-    const size_t b = codes[r];
-    sums[b] += values[r];
-    counts[b] += 1.0;
-  }
 }
 
 inline double FusedDotSigmoidUpdate(const double* __restrict w,

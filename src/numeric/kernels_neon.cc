@@ -8,7 +8,6 @@
 // across backends.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
-#include "numeric/kernels_generic.h"  // HistAccumulatePrefetch (scalar adds)
 
 #if defined(__aarch64__)
 #include <arm_neon.h>
@@ -154,8 +153,6 @@ const KernelBackend kNeonBackend = {
     AxpyNeon,
     ScaleAddNeon,
     MulAddNeon,
-    generic::HistAccumulatePrefetch<uint8_t>,
-    generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateNeon,
     ReplicatedMeanNeon,
 };

@@ -10,6 +10,9 @@ namespace tg::obs {
 namespace {
 
 constexpr int kSchemaVersion = 1;
+// Compare thresholds no caller varies (see CompareOptions).
+constexpr double kMaxRssRatio = 1.50;
+constexpr uint64_t kMinCounterCycles = 10000000;
 
 std::string StageKey(const std::string& component, uint64_t threads) {
   return component + "@" + std::to_string(threads);
@@ -308,7 +311,7 @@ CompareReport CompareBenchRuns(const BenchRun& baseline,
                                    delta.baseline_miss_rate
                              : 0.0;
       delta.skipped_below_floor =
-          base_counters.cycles < options.min_counter_cycles;
+          base_counters.cycles < kMinCounterCycles;
       if (!delta.skipped_below_floor) {
         const bool ipc_regressed = options.min_ipc_ratio > 0.0 &&
                                    delta.baseline_ipc > 0.0 &&
@@ -327,7 +330,7 @@ CompareReport CompareBenchRuns(const BenchRun& baseline,
   if (baseline.peak_rss_bytes > 0 && latest.peak_rss_bytes > 0) {
     report.rss_ratio = static_cast<double>(latest.peak_rss_bytes) /
                        static_cast<double>(baseline.peak_rss_bytes);
-    report.rss_regressed = report.rss_ratio > options.max_rss_ratio;
+    report.rss_regressed = report.rss_ratio > kMaxRssRatio;
     if (report.rss_regressed) report.ok = false;
   }
 

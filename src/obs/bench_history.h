@@ -76,8 +76,7 @@ struct CompareOptions {
   // ...unless the baseline is below this floor (sub-centisecond stages are
   // dominated by scheduler noise on shared CI hardware).
   double min_seconds = 0.01;
-  // Peak-RSS regression threshold (ratio of latest to baseline).
-  double max_rss_ratio = 1.50;
+  // Peak RSS regresses past a fixed 1.50x of the baseline.
   // Per-stage overrides of max_time_ratio, keyed "component@threads". A
   // value below 1.0 demands an improvement: the dispatch gate pins
   // "skipgram_sharded@1" under 1/1.5 so the SIMD speedup cannot silently
@@ -95,13 +94,12 @@ struct CompareOptions {
   // Hardware-counter gates (0 = disabled). A stage regresses when
   // latest_ipc / baseline_ipc drops below min_ipc_ratio, or when
   // latest_miss_rate / baseline_miss_rate exceeds max_cache_miss_ratio.
-  // Stages whose baseline saw fewer than min_counter_cycles cycles are
-  // skipped as noise. Runs missing counters entirely (appended before the
+  // Stages whose baseline saw fewer than 10M cycles are skipped as
+  // noise. Runs missing counters entirely (appended before the
   // counter schema, or counters unavailable in that environment) produce a
   // note and skip the gates -- never an error.
   double min_ipc_ratio = 0.0;
   double max_cache_miss_ratio = 0.0;
-  uint64_t min_counter_cycles = 10000000;
 };
 
 struct StageDelta {

@@ -9,7 +9,6 @@
 #include "core/pipeline.h"
 #include "core/recommender.h"
 #include "core/sweep_checkpoint.h"
-#include "ml/tree_engine.h"
 #include "numeric/kernel_backend.h"
 #include "util/check.h"
 #include "util/fault.h"
@@ -190,14 +189,6 @@ TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
         c->predictor.random_forest.tree.max_features = 3;
       },
       [](PipelineConfig* c) {
-        // The engine the default (kAuto) does not resolve to.
-        c->predictor.random_forest.tree.engine =
-            ml::DefaultTreeEngine() == ml::TreeEngine::kExact
-                ? ml::TreeEngineChoice::kHist
-                : ml::TreeEngineChoice::kExact;
-      },
-      [](PipelineConfig* c) { c->predictor.random_forest.tree.max_bins = 9; },
-      [](PipelineConfig* c) {
         c->predictor.random_forest.feature_fraction = 0.5;
       },
       [](PipelineConfig* c) { c->predictor.random_forest.seed = 1; },
@@ -235,21 +226,9 @@ TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
   }
 }
 
-// A checkpoint, shard or manifest written under one numeric setting must not
-// resume or merge under another, so the fingerprint records the tree engine
-// TG_TREE resolves to and the active kernel backend -- not the unresolved
-// kAuto choice, which reads the same under every setting.
-TEST(SweepFingerprintTest, CoversResolvedTreeEngine) {
-  const ml::TreeEngine saved = ml::DefaultTreeEngine();
-  const PipelineConfig config;
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kExact);
-  const std::string exact = SweepFingerprint(config, zoo::Modality::kImage);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kHist);
-  const std::string hist = SweepFingerprint(config, zoo::Modality::kImage);
-  ml::SetDefaultTreeEngine(saved);
-  EXPECT_NE(exact, hist);
-}
-
+// A checkpoint, shard or manifest written under one kernel backend must not
+// resume or merge under another, so the fingerprint records the active
+// backend.
 TEST(SweepFingerprintTest, CoversKernelBackend) {
   const std::vector<std::string> names = kernels::AvailableBackendNames();
   if (names.size() < 2) GTEST_SKIP() << "only the scalar backend exists";
@@ -420,26 +399,6 @@ TEST_F(PipelineTest, GraphFeaturesBeatMetadataBaselineOnAverage) {
     tg_total += pipeline_->EvaluateTarget(FastConfig(tg), targets[i]).pearson;
   }
   EXPECT_GT(tg_total / 3.0, lr_total / 3.0);
-}
-
-TEST_F(PipelineTest, HistTreeEngineRankingQualityWithinToleranceOfExact) {
-  // The TG_TREE=hist engine quantizes split thresholds; ranking quality on
-  // the end-to-end pipeline must stay within a small tolerance of exact
-  // mode, not just on synthetic tabular fixtures. Embeddings are cached per
-  // (config, target), so both runs rank the same feature table and the diff
-  // isolates the tree engine.
-  Strategy rf{PredictorKind::kRandomForest, GraphLearner::kNode2Vec,
-              FeatureSet::kAll};
-  const PipelineConfig config = FastConfig(rf);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kExact);
-  TargetEvaluation exact = pipeline_->EvaluateTarget(config, target_);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kHist);
-  TargetEvaluation hist = pipeline_->EvaluateTarget(config, target_);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kExact);
-
-  EXPECT_TRUE(std::isfinite(hist.pearson));
-  EXPECT_GT(hist.pearson, exact.pearson - 0.15);
-  EXPECT_GT(hist.TopKMeanAccuracy(5), exact.TopKMeanAccuracy(5) - 0.1);
 }
 
 TEST_F(PipelineTest, RecommenderReturnsSortedTopModels) {

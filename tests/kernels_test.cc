@@ -95,22 +95,6 @@ uint64_t HashOverLengths(const kernels::KernelBackend& k, EntryCase entry) {
   return hash.value();
 }
 
-template <typename Code>
-void HistCase(void (*hist)(const Code*, const size_t*, size_t, const double*,
-                           double*, double*),
-              size_t bins, size_t n, size_t off, Rng* rng, BitHash* hash) {
-  const std::vector<double> values = MixedMagnitude(n + 7, rng);
-  std::vector<Code> codes(n + 7);
-  for (Code& code : codes) code = static_cast<Code>(rng->NextBelow(bins));
-  std::vector<size_t> rows(n + 1);
-  for (size_t& r : rows) r = rng->NextBelow(n + 7);
-  std::vector<double> sums(bins, 0.0), counts(bins, 0.0);
-  hist(codes.data(), rows.data() + off, n, values.data(), sums.data(),
-       counts.data());
-  hash->Add(sums);
-  hash->Add(counts);
-}
-
 // y op= x on mixed-magnitude inputs (Add, Sub, Mul); hashes y.
 void ElementwiseCase(void (*op)(double*, const double*, size_t), size_t n,
                      size_t off, Rng* rng, BitHash* hash) {
@@ -186,19 +170,6 @@ const PinnedEntry kScalarPinnedEntries[] = {
        std::vector<double> z = MixedMagnitude(n + 1, rng);
        k.mul_add(z.data() + off, x.data() + off, y.data() + off, n);
        hash->Add(z);
-     }},
-    {"hist_accumulate_u8", 0x41fba982957778bbULL,
-     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
-        BitHash* hash) {
-       HistCase<uint8_t>(k.hist_accumulate_u8, 256, n, off, rng, hash);
-       // Heavy bin collisions: every row lands in one of three bins.
-       HistCase<uint8_t>(k.hist_accumulate_u8, 3, n, off, rng, hash);
-     }},
-    {"hist_accumulate_u16", 0x23faef162ef56f4cULL,
-     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
-        BitHash* hash) {
-       HistCase<uint16_t>(k.hist_accumulate_u16, 1024, n, off, rng, hash);
-       HistCase<uint16_t>(k.hist_accumulate_u16, 3, n, off, rng, hash);
      }},
     {"fused_dot_sigmoid_update", 0xb1c021367cbb9928ULL,
      [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
@@ -489,53 +460,6 @@ TEST_F(KernelsTest, EveryBackendMulAddWithinEnvelopeOfScalarBackend) {
       }
     }
   }
-}
-
-// Builds a scatter-accumulate fixture: n row indices into a value array of
-// n + 7 entries (gathers are not the identity), codes striped over `bins`
-// with repeats so multiple rows land in one bin.
-template <typename Code>
-void CheckHistAccumulateEveryBackend(size_t bins, uint64_t seed) {
-  const auto scalar_hist = [] {
-    if constexpr (sizeof(Code) == 1) {
-      return kernels::ScalarBackend().hist_accumulate_u8;
-    } else {
-      return kernels::ScalarBackend().hist_accumulate_u16;
-    }
-  }();
-  for (const std::string& backend : kernels::AvailableBackendNames()) {
-    ASSERT_TRUE(kernels::SetActiveBackend(backend));
-    Rng rng(seed);
-    for (size_t n : kLengths) {
-      const std::vector<double> values = MixedMagnitude(n + 7, &rng);
-      std::vector<Code> codes(n + 7);
-      std::vector<size_t> rows(n);
-      for (size_t i = 0; i < n + 7; ++i) {
-        codes[i] = static_cast<Code>(rng.NextBelow(bins));
-      }
-      for (size_t i = 0; i < n; ++i) rows[i] = rng.NextBelow(n + 7);
-      std::vector<double> sums1(bins, 0.0), counts1(bins, 0.0);
-      std::vector<double> sums2(bins, 0.0), counts2(bins, 0.0);
-      kernels::HistAccumulate(codes.data(), rows.data(), n, values.data(),
-                              sums1.data(), counts1.data());
-      scalar_hist(codes.data(), rows.data(), n, values.data(), sums2.data(),
-                  counts2.data());
-      // Scatter-accumulate is a serial dependence chain in index order in
-      // EVERY backend, so this is exact equality, not an envelope: the hist
-      // tree engine must not change with TG_ISA.
-      EXPECT_EQ(sums1, sums2) << backend << " n=" << n;
-      EXPECT_EQ(counts1, counts2) << backend << " n=" << n;
-    }
-  }
-}
-
-TEST_F(KernelsTest, EveryBackendHistAccumulateU8BitIdentical) {
-  CheckHistAccumulateEveryBackend<uint8_t>(256, 41);
-  CheckHistAccumulateEveryBackend<uint8_t>(3, 43);  // heavy bin collisions
-}
-
-TEST_F(KernelsTest, EveryBackendHistAccumulateU16BitIdentical) {
-  CheckHistAccumulateEveryBackend<uint16_t>(1024, 47);
 }
 
 TEST_F(KernelsTest, EveryBackendFusedUpdateWithinEnvelopeOfScalarBackend) {

@@ -312,7 +312,6 @@ TEST(DecisionTreeTest, ExactEngineBitIdenticalToPerNodeSortReference) {
   TreeConfig config;
   config.max_depth = 6;
   config.min_samples_leaf = 2;
-  config.engine = TreeEngineChoice::kExact;
   DecisionTree tree(config);
   tree.Fit(x, y, rows, nullptr);
   ReferenceSortTree reference(config);
@@ -335,7 +334,6 @@ TEST(DecisionTreeTest, ExactEngineBitIdenticalWithFeatureSampling) {
   config.max_depth = 5;
   config.min_samples_leaf = 2;
   config.max_features = 2;
-  config.engine = TreeEngineChoice::kExact;
   // Identical recursion order means identical RNG draw order, so seeding
   // both fits the same way must give identical feature subsets per node.
   Rng tree_rng(77);
@@ -374,7 +372,6 @@ TEST(DecisionTreeTest, ExactFitDeterministicAcrossRepeatsAndFitForms) {
 
   TreeConfig config;
   config.max_depth = 6;
-  config.engine = TreeEngineChoice::kExact;
   DecisionTree via_matrix(config);
   via_matrix.Fit(x, y, AllRows(n), nullptr);
   DecisionTree again(config);
@@ -386,86 +383,6 @@ TEST(DecisionTreeTest, ExactFitDeterministicAcrossRepeatsAndFitForms) {
   DecisionTree via_columns(config);
   via_columns.Fit(columns, y, AllRows(n), nullptr);
   EXPECT_EQ(via_matrix.DebugString(), via_columns.DebugString());
-}
-
-// --- Histogram engine --------------------------------------------------------
-
-TEST(DecisionTreeTest, HistEngineRecoversSingleSplit) {
-  Matrix x(100, 1);
-  std::vector<double> y(100);
-  for (size_t i = 0; i < 100; ++i) {
-    x(i, 0) = static_cast<double>(i) / 100.0;
-    y[i] = x(i, 0) > 0.5 ? 1.0 : 0.0;
-  }
-  TreeConfig config;
-  config.max_depth = 1;
-  config.engine = TreeEngineChoice::kHist;
-  DecisionTree tree(config);
-  tree.Fit(x, y, AllRows(100), nullptr);
-  EXPECT_DOUBLE_EQ(tree.Predict({0.2}), 0.0);
-  EXPECT_DOUBLE_EQ(tree.Predict({0.9}), 1.0);
-}
-
-TEST(DecisionTreeTest, HistEngineCloseToExactOnSmoothTarget) {
-  const size_t n = 500;
-  Rng rng(401);
-  Matrix x = Matrix::Gaussian(n, 4, &rng);
-  std::vector<double> y(n);
-  for (size_t i = 0; i < n; ++i) {
-    y[i] = 2.0 * x(i, 1) - x(i, 3) + rng.NextGaussian(0.0, 0.1);
-  }
-  TreeConfig exact_config;
-  exact_config.max_depth = 5;
-  exact_config.engine = TreeEngineChoice::kExact;
-  DecisionTree exact(exact_config);
-  exact.Fit(x, y, AllRows(n), nullptr);
-  TreeConfig hist_config = exact_config;
-  hist_config.engine = TreeEngineChoice::kHist;
-  DecisionTree hist(hist_config);
-  hist.Fit(x, y, AllRows(n), nullptr);
-
-  auto mse = [&](const DecisionTree& tree) {
-    double acc = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = tree.Predict(x.Row(i)) - y[i];
-      acc += d * d;
-    }
-    return acc / static_cast<double>(n);
-  };
-  // 256 quantile bins on 500 rows: thresholds quantize, the fit barely
-  // moves. 15% headroom over exact keeps this robust without being vacuous.
-  EXPECT_LE(mse(hist), mse(exact) * 1.15 + 1e-12);
-}
-
-TEST(DecisionTreeTest, HistEngineHandlesBootstrapMultiplicityAndFewBins) {
-  Matrix x(4, 1);
-  for (size_t i = 0; i < 4; ++i) x(i, 0) = static_cast<double>(i);
-  std::vector<double> y = {0, 0, 10, 10};
-  std::vector<size_t> rows = {0, 0, 0, 2, 2, 3};
-  TreeConfig config;
-  config.max_depth = 2;
-  config.engine = TreeEngineChoice::kHist;
-  config.max_bins = 4;
-  DecisionTree tree(config);
-  tree.Fit(x, y, rows, nullptr);
-  EXPECT_NEAR(tree.Predict({0.0}), 0.0, 1e-9);
-  EXPECT_NEAR(tree.Predict({3.0}), 10.0, 1e-9);
-}
-
-TEST(DecisionTreeTest, HistEngineConstantFeatureIsLeaf) {
-  Matrix x(20, 1);
-  std::vector<double> y(20);
-  for (size_t i = 0; i < 20; ++i) {
-    x(i, 0) = 1.0;  // no bin edges: no split possible
-    y[i] = static_cast<double>(i % 2);
-  }
-  TreeConfig config;
-  config.max_depth = 3;
-  config.engine = TreeEngineChoice::kHist;
-  DecisionTree tree(config);
-  tree.Fit(x, y, AllRows(20), nullptr);
-  EXPECT_EQ(tree.num_nodes(), 1u);
-  EXPECT_DOUBLE_EQ(tree.Predict({1.0}), 0.5);
 }
 
 }  // namespace

@@ -95,55 +95,30 @@ TEST(RandomForestTest, RejectsEmptyAndMismatched) {
   EXPECT_FALSE(model.Fit(bad).ok());
 }
 
-TEST(RandomForestTest, BitIdenticalAcrossThreadCountsBothEngines) {
+TEST(RandomForestTest, BitIdenticalAcrossThreadCounts) {
   // Per-tree Rng::Fork plus fixed bagging order makes the forest a pure
-  // function of (data, seed) regardless of TG_THREADS -- for BOTH split
-  // engines. Any scheduling dependence would show up as a flipped bit here.
+  // function of (data, seed) regardless of TG_THREADS. Any scheduling
+  // dependence would show up as a flipped bit here.
   TabularDataset data = NonlinearData(300, 8);
-  for (TreeEngineChoice engine :
-       {TreeEngineChoice::kExact, TreeEngineChoice::kHist}) {
-    auto fit_predictions = [&](size_t threads) {
-      SetThreadCount(threads);
-      RandomForestConfig config;
-      config.num_trees = 12;
-      config.tree.max_depth = 5;
-      config.tree.engine = engine;
-      config.seed = 31;
-      RandomForest model(config);
-      EXPECT_TRUE(model.Fit(data).ok());
-      return model.PredictBatch(data.x);
-    };
-    const std::vector<double> one = fit_predictions(1);
-    for (size_t threads : {size_t{2}, size_t{4}}) {
-      const std::vector<double> many = fit_predictions(threads);
-      ASSERT_EQ(one.size(), many.size());
-      for (size_t i = 0; i < one.size(); ++i) {
-        EXPECT_EQ(one[i], many[i])
-            << "engine=" << TreeEngineName(ResolveTreeEngine(engine))
-            << " threads=" << threads << " row=" << i;
-      }
-    }
-    SetThreadCount(0);
-  }
-}
-
-TEST(RandomForestTest, HistEngineQualityTracksExact) {
-  TabularDataset train = NonlinearData(600, 9);
-  TabularDataset test = NonlinearData(300, 10);
-  auto test_rmse = [&](TreeEngineChoice engine) {
+  auto fit_predictions = [&](size_t threads) {
+    SetThreadCount(threads);
     RandomForestConfig config;
-    config.num_trees = 40;
-    config.tree.max_depth = 6;
-    config.tree.engine = engine;
-    config.seed = 5;
+    config.num_trees = 12;
+    config.tree.max_depth = 5;
+    config.seed = 31;
     RandomForest model(config);
-    EXPECT_TRUE(model.Fit(train).ok());
-    return Rmse(model.PredictBatch(test.x), test.y);
+    EXPECT_TRUE(model.Fit(data).ok());
+    return model.PredictBatch(data.x);
   };
-  const double exact = test_rmse(TreeEngineChoice::kExact);
-  const double hist = test_rmse(TreeEngineChoice::kHist);
-  // Quantized thresholds cost a little accuracy, never a collapse.
-  EXPECT_LT(hist, exact * 1.10);
+  const std::vector<double> one = fit_predictions(1);
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    const std::vector<double> many = fit_predictions(threads);
+    ASSERT_EQ(one.size(), many.size());
+    for (size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(one[i], many[i]) << "threads=" << threads << " row=" << i;
+    }
+  }
+  SetThreadCount(0);
 }
 
 TEST(RandomForestTest, PaperDefaultsConstructible) {

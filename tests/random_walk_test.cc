@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -166,6 +167,77 @@ TEST(RandomWalkTest, WeightedFirstStepPrefersHeavyEdge) {
     if (walk[1] == 1) ++heavy;
   }
   EXPECT_GT(heavy, 1900);
+}
+
+
+// A small multigraph in the shape of the zoo graph: datasets and models with
+// typed, weighted edges, where one model-dataset pair carries an accuracy
+// edge, a transferability edge and a repeated accuracy edge, and one
+// dataset pair is linked twice. Repeated edges between a pair are exactly
+// what EdgeWeightBetween has to sum.
+Graph TypedMultigraph() {
+  Graph g;
+  for (int i = 0; i < 4; ++i) {
+    g.AddNode(NodeType::kDataset, "d" + std::to_string(i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    g.AddNode(NodeType::kModel, "m" + std::to_string(i));
+  }
+  g.AddUndirectedEdge(0, 1, EdgeType::kDatasetDataset, 0.8);
+  g.AddUndirectedEdge(0, 1, EdgeType::kDatasetDataset, 0.3);
+  g.AddUndirectedEdge(1, 2, EdgeType::kDatasetDataset, 0.5);
+  g.AddUndirectedEdge(2, 3, EdgeType::kDatasetDataset, 0.6);
+  // Each of these three is weaker than the pair's Node2Vec+ threshold; only
+  // their sum reaches it.
+  g.AddUndirectedEdge(4, 0, EdgeType::kModelDatasetAccuracy, 0.12);
+  g.AddUndirectedEdge(4, 0, EdgeType::kModelDatasetTransferability, 0.1);
+  g.AddUndirectedEdge(4, 0, EdgeType::kModelDatasetAccuracy, 0.08);
+  g.AddUndirectedEdge(4, 1, EdgeType::kModelDatasetAccuracy, 0.9);
+  g.AddUndirectedEdge(5, 1, EdgeType::kModelDatasetTransferability, 0.35);
+  g.AddUndirectedEdge(5, 2, EdgeType::kModelDatasetAccuracy, 0.65);
+  g.AddUndirectedEdge(6, 2, EdgeType::kModelDatasetAccuracy, 0.55);
+  g.AddUndirectedEdge(6, 3, EdgeType::kModelDatasetTransferability, 0.25);
+  g.AddUndirectedEdge(7, 3, EdgeType::kModelDatasetAccuracy, 0.45);
+  g.AddUndirectedEdge(7, 0, EdgeType::kModelDatasetTransferability, 0.15);
+  return g;
+}
+
+// FNV-1a over every walk's length and node ids, in corpus order.
+uint64_t CorpusHash(const std::vector<std::vector<NodeId>>& walks) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto add = [&](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const std::vector<NodeId>& walk : walks) {
+    add(walk.size());
+    for (NodeId node : walk) add(node);
+  }
+  return hash;
+}
+
+// Pins the walk corpus bit for bit, so a change to how walks sample (for
+// example an O(deg) transition table) must reproduce today's corpus or say
+// why it does not.
+TEST(RandomWalkTest, GenerateAllCorpusPinned) {
+  const Graph g = TypedMultigraph();
+  for (bool extended : {false, true}) {
+    WalkConfig config;
+    config.walks_per_node = 5;
+    config.walk_length = 20;
+    config.p = 2.0;
+    config.q = 0.5;
+    config.extended = extended;
+    RandomWalkGenerator walker(g, config);
+    Rng rng(2024);
+    const uint64_t got = CorpusHash(walker.GenerateAll(&rng));
+    const uint64_t want =
+        extended ? 0x4dba0e69aa33e606ULL : 0x8175dbfcf97b91c1ULL;
+    EXPECT_EQ(got, want) << (extended ? "node2vec+" : "node2vec") << std::hex
+                         << " got 0x" << got;
+  }
 }
 
 }  // namespace

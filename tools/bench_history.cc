@@ -9,11 +9,11 @@
 //                                             1 on regression
 //   show    --history FILE                    list recorded runs
 //
-// compare options:
-//   --baseline N            history index to compare against (default: the
-//                           run before the latest)
+// compare diffs the latest run against the one before it; peak RSS regresses
+// past 1.50x, and counter gates skip stages whose baseline saw under 1e7
+// cycles (fixed in obs::CompareBenchRuns). Options (every number must parse
+// as a finite value, else exit 2):
 //   --max-time-ratio R      stage-time regression threshold (default 1.30)
-//   --max-rss-ratio R       peak-RSS regression threshold (default 1.50)
 //   --min-seconds S         ignore stages whose baseline is below S
 //                           (default 0.01)
 //   --inject-time-ratio R   multiply the latest run's stage times by R
@@ -37,13 +37,15 @@
 //   --max-cache-miss-ratio R  counterpart gate on cache-miss rate: fail
 //                           when latest miss rate exceeds R x baseline
 //                           (default 0 = disabled)
-//   --min-counter-cycles N  skip counter gates for stages whose baseline
-//                           saw fewer than N cycles (default 10000000)
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/bench_history.h"
@@ -61,13 +63,11 @@ int Usage() {
       stderr,
       "usage: bench_history <append|compare|show> [--option value ...]\n"
       "  append  --timings FILE --history FILE\n"
-      "  compare --history FILE [--baseline N] [--max-time-ratio R]\n"
-      "          [--max-rss-ratio R] [--min-seconds S]"
-      " [--inject-time-ratio R]\n"
+      "  compare --history FILE [--max-time-ratio R] [--min-seconds S]\n"
+      "          [--inject-time-ratio R]\n"
       "          [--stage-max-ratio stage=R[,stage=R...]]\n"
       "          [--stage-max-seconds stage=S[,stage=S...]]\n"
       "          [--min-ipc-ratio R] [--max-cache-miss-ratio R]\n"
-      "          [--min-counter-cycles N]\n"
       "  show    --history FILE\n");
   return 2;
 }
@@ -95,10 +95,13 @@ Result<Args> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       return Status::InvalidArgument(std::string("expected --option, got ") +
                                      argv[i]);
+    }
+    if (i + 1 == argc) {
+      return Status::InvalidArgument(std::string(argv[i]) + " needs a value");
     }
     args.options[argv[i] + 2] = argv[i + 1];
   }
@@ -164,32 +167,31 @@ int RunAppend(const Args& args) {
 int RunCompare(const Args& args) {
   const std::string history_path = args.Get("history", "");
   if (history_path.empty()) return Usage();
-  Result<std::vector<obs::BenchRun>> history = LoadHistory(history_path);
-  if (!history.ok()) {
-    std::fprintf(stderr, "%s: %s\n", history_path.c_str(),
-                 history.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<obs::BenchRun>& runs = history.value();
 
   obs::CompareOptions options;
-  options.max_time_ratio = std::stod(args.Get("max-time-ratio", "1.30"));
-  options.max_rss_ratio = std::stod(args.Get("max-rss-ratio", "1.50"));
-  options.min_seconds = std::stod(args.Get("min-seconds", "0.01"));
-  options.min_ipc_ratio = std::stod(args.Get("min-ipc-ratio", "0"));
-  options.max_cache_miss_ratio =
-      std::stod(args.Get("max-cache-miss-ratio", "0"));
-  if (!ParseUint64(args.Get("min-counter-cycles", "10000000"),
-                   &options.min_counter_cycles)) {
-    std::fprintf(stderr, "--min-counter-cycles: not a number\n");
-    return 2;
+  double inject = 1.0;
+  const std::pair<const char*, double*> numbers[] = {
+      {"max-time-ratio", &options.max_time_ratio},
+      {"min-seconds", &options.min_seconds},
+      {"min-ipc-ratio", &options.min_ipc_ratio},
+      {"max-cache-miss-ratio", &options.max_cache_miss_ratio},
+      {"inject-time-ratio", &inject},
+  };
+  for (const auto& [key, out] : numbers) {
+    const std::string text = args.Get(key, "");
+    if (!text.empty() && (!ParseDouble(text, out) || !std::isfinite(*out))) {
+      std::fprintf(stderr, "--%s: not a valid number: %s\n", key,
+                   text.c_str());
+      return 2;
+    }
   }
   const std::string stage_overrides = args.Get("stage-max-ratio", "");
   if (!stage_overrides.empty()) {
     for (const std::string& pair : Split(stage_overrides, ',')) {
       const std::vector<std::string> kv = Split(pair, '=');
       double ratio = 0.0;
-      if (kv.size() != 2 || kv[0].empty() || !ParseDouble(kv[1], &ratio)) {
+      if (kv.size() != 2 || kv[0].empty() || !ParseDouble(kv[1], &ratio) ||
+          !std::isfinite(ratio)) {
         std::fprintf(stderr,
                      "--stage-max-ratio: bad entry '%s' (want stage=R)\n",
                      pair.c_str());
@@ -204,7 +206,7 @@ int RunCompare(const Args& args) {
       const std::vector<std::string> kv = Split(pair, '=');
       double seconds = 0.0;
       if (kv.size() != 2 || kv[0].empty() || !ParseDouble(kv[1], &seconds) ||
-          seconds <= 0.0) {
+          !std::isfinite(seconds) || seconds <= 0.0) {
         std::fprintf(stderr,
                      "--stage-max-seconds: bad entry '%s' (want stage=S)\n",
                      pair.c_str());
@@ -213,6 +215,14 @@ int RunCompare(const Args& args) {
       options.stage_max_seconds[kv[0]] = seconds;
     }
   }
+
+  Result<std::vector<obs::BenchRun>> history = LoadHistory(history_path);
+  if (!history.ok()) {
+    std::fprintf(stderr, "%s: %s\n", history_path.c_str(),
+                 history.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<obs::BenchRun>& runs = history.value();
 
   if (runs.size() < 2) {
     // No baseline: ratio gates cannot run, but absolute ceilings judge the
@@ -238,19 +248,8 @@ int RunCompare(const Args& args) {
   }
 
   const size_t latest_index = runs.size() - 1;
-  size_t baseline_index = latest_index - 1;
-  const std::string baseline_arg = args.Get("baseline", "");
-  if (!baseline_arg.empty()) {
-    baseline_index = static_cast<size_t>(std::stoul(baseline_arg));
-    if (baseline_index >= latest_index) {
-      std::fprintf(stderr, "--baseline %zu is not before the latest run %zu\n",
-                   baseline_index, latest_index);
-      return 2;
-    }
-  }
-
+  const size_t baseline_index = latest_index - 1;
   obs::BenchRun latest = runs[latest_index];
-  const double inject = std::stod(args.Get("inject-time-ratio", "1.0"));
   if (inject != 1.0) {
     for (auto& [stage, seconds] : latest.stage_seconds) seconds *= inject;
     std::printf("(self-test: latest stage times scaled by %.2f)\n", inject);
@@ -297,6 +296,19 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   const Args& args = parsed.value();
+  // A removed or misspelled flag must not pass silently: the caller would
+  // believe a gate is set that never runs.
+  static const char* const kKnown[] = {
+      "timings",          "history",           "max-time-ratio",
+      "min-seconds",      "inject-time-ratio", "stage-max-ratio",
+      "stage-max-seconds", "min-ipc-ratio",    "max-cache-miss-ratio"};
+  for (const auto& [key, value] : args.options) {
+    if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
+        std::end(kKnown)) {
+      std::fprintf(stderr, "unknown option --%s\n", key.c_str());
+      return Usage();
+    }
+  }
   if (args.command == "append") return RunAppend(args);
   if (args.command == "compare") return RunCompare(args);
   if (args.command == "show") return RunShow(args);

@@ -11,9 +11,9 @@
 # kernels micro-bench smoke run, a bench-history append + regression compare
 # (with an injected-regression self-test of the gate, pinned
 # skipgram_sharded/random_forest_fit stage ratios, an absolute
-# random_forest_fit wall-time ceiling, and hardware-counter ratio gates), a
-# tree-engine gate (TG_TREE resolution, a bogus-value hard-error check, and
-# a TG_TREE=hist rank smoke under ASan), a distributed-sweep chaos gate
+# random_forest_fit wall-time ceiling, and hardware-counter ratio gates),
+# the decision-tree and random-forest tests plus an RF rank under ASan, a
+# distributed-sweep chaos gate
 # (three workers sharing a workdir with one kill -9'd mid-run: the
 # survivors must reclaim the expired lease and sweep-merge must emit an
 # artifact byte-identical to a serial sweep under TG_THREADS=1 and =4,
@@ -341,56 +341,22 @@ cmp "$DIST_DIR/asan_serial.json" "$ASAN_WD/merged.json" || {
 }
 echo "ASan claim-fault workers + faulted merge stayed bit-identical"
 
-section "tree engine gate: TG_TREE dispatch + hist smoke under ASan"
-# TG_TREE follows the TG_ISA discipline: `backend` reports the resolved
-# engine, and forcing an engine that does not exist must be a hard error,
-# never a silent fallback to exact.
-./build-release/tools/tg_cli backend | grep -q "tree engine: exact" || {
-  echo "expected the default tree engine to resolve to exact" >&2; exit 1;
-}
-TG_TREE=hist ./build-release/tools/tg_cli backend \
-    | grep -q "tree engine: hist" || {
-  echo "TG_TREE=hist must resolve to the hist engine" >&2; exit 1;
-}
-if TG_TREE=bogus ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
-  echo "TG_TREE with a bogus engine must fail hard, not fall back" >&2
-  exit 1
-fi
-# Full rank pipeline on the histogram engine under ASan: the recycled
-# histogram buffers and the in-place sibling subtraction are exactly the
-# kind of raw-pointer lifetime code ASan exists for. The run must also
-# produce a non-degenerate ranking (a real pearson, not the 0.000 of a
-# constant prediction).
-cmake --build build-asan -j "$JOBS" --target tg_cli
-HIST_OUT="$(mktemp /tmp/tg_hist.XXXXXX.txt)"
-trap 'rm -f "$HIST_OUT"; rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
-TG_TREE=hist ./build-asan/tools/tg_cli rank --modality image --target 0 \
-    --predictor rf | tee "$HIST_OUT"
-# Accept plain decimals, e-notation, and nan/-nan so a degenerate pearson is
-# reported as degenerate instead of "missing".
-HIST_PEARSON="$(sed -n \
-    's/.*pearson \(-\{0,1\}\([0-9.][0-9.eE+-]*\|nan\)\),.*/\1/p' "$HIST_OUT")"
-if [ -z "$HIST_PEARSON" ]; then
-  echo "TG_TREE=hist rank printed no pearson line" >&2; exit 1
-fi
-case "$HIST_PEARSON" in
-  0.000|-0.000|nan|-nan)
-    echo "TG_TREE=hist rank produced a degenerate ranking" \
-         "(pearson $HIST_PEARSON)" >&2
-    exit 1
-    ;;
-esac
-echo "hist engine smoke passed (pearson $HIST_PEARSON)"
-# The exact engine's order-expansion slack (decision_tree.cc) is only
-# exercised by bootstrap samples, so run the default-engine RF rank under
-# ASan too -- the hist smoke above never touches that code path.
+section "random forest under ASan"
+# The tree's bootstrap order expansion (decision_tree.cc) stores four copies
+# unconditionally into a buffer with +4 slack, so it is exactly the kind of
+# raw-pointer code ASan exists for. The tree and forest tests drive it across
+# many row-multiplicity shapes; the RF rank drives it through the pipeline.
+cmake --build build-asan -j "$JOBS" \
+    --target tg_cli ml_decision_tree_test ml_random_forest_test
+./build-asan/tests/ml_decision_tree_test
+./build-asan/tests/ml_random_forest_test
 ./build-asan/tools/tg_cli rank --modality image --target 0 \
     --predictor rf >/dev/null
-echo "exact engine RF rank passed under ASan"
+echo "RF rank passed under ASan"
 
 section "tg_cli trace/metrics smoke check"
 TRACE_FILE="$(mktemp /tmp/tg_trace.XXXXXX.json)"
-trap 'rm -f "$TRACE_FILE" "$HIST_OUT"; \
+trap 'rm -f "$TRACE_FILE"; \
      rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
 # TG_THREADS=2 forces the pool path so the trace includes pool_drain spans
 # (worker-side parent handoff) even on a single-core machine. --mem and
@@ -427,7 +393,7 @@ section "profiler + hardware-counter gate"
 # per-stage table or say why they cannot. 997 Hz (prime) keeps this short
 # rank run well-sampled without phase-locking against periodic work.
 PROF_DIR="$(mktemp -d /tmp/tg_prof.XXXXXX)"
-trap 'rm -f "$TRACE_FILE" "$HIST_OUT"; \
+trap 'rm -f "$TRACE_FILE"; \
      rm -rf "$FAULT_OUT" "$PROF_DIR" "$DIST_DIR"' EXIT
 TG_THREADS=2 ./build-release/tools/tg_cli rank --modality image --target 0 \
     --profile=997 --profile-out "$PROF_DIR/profile.collapsed" \
@@ -502,7 +468,7 @@ section "telemetry gate: live scrape of a running sweep"
 # sweep alive long enough to observe from outside.
 cmake --build build-release -j "$JOBS" --target scrape tg_cli
 TELEM_DIR="$(mktemp -d /tmp/tg_telem.XXXXXX)"
-trap 'rm -f "$TRACE_FILE" "$HIST_OUT"; \
+trap 'rm -f "$TRACE_FILE"; \
      rm -rf "$FAULT_OUT" "$PROF_DIR" "$TELEM_DIR" "$DIST_DIR"' EXIT
 ./build-release/tools/tg_cli sweep --modality image --models 48 \
     --learner n2v --features all --predictor xgb --telemetry-port 0 \

@@ -68,11 +68,15 @@
 //                   heartbeat event to F as structured JSON lines
 //                   (TG_EVENT_LOG_RATE / TG_EVENT_LOG_SPAN_MS tune shedding)
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/baselines.h"
@@ -82,7 +86,6 @@
 #include "core/recommender.h"
 #include "graph/graph_stats.h"
 #include "graph/serialization.h"
-#include "ml/tree_engine.h"
 #include "numeric/kernel_backend.h"
 #include "obs/event_log.h"
 #include "obs/memory.h"
@@ -106,6 +109,16 @@ namespace {
 struct CliArgs {
   std::string command;
   std::map<std::string, std::string> options;
+  // Numeric options, parsed once by ParseNumericOptions before any pipeline
+  // work, so a malformed value exits 2 instead of failing mid-run.
+  int models = -1;           // --models; -1 keeps the catalog sizes
+  bool numeric_target = false;  // --target starts with a digit...
+  size_t target_index = 0;      // ...and indexes the evaluation targets
+  size_t top = 10;           // --top
+  double lease_sec = 30.0;   // --lease-sec
+  int telemetry_port = -1;   // --telemetry-port; -1 absent, 0 ephemeral
+  int profile_hz = 0;        // --profile=HZ; 0 = TG_PROFILE_HZ or default
+  int rss_sample_ms = -1;    // --rss-sample; -1 = off
 
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = options.find(key);
@@ -199,6 +212,53 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
   return args;
 }
 
+// Parses the numeric options into `args`. A value that is not a whole number
+// (for --lease-sec, a positive finite number) or that overflows its field is
+// an InvalidArgument naming the option. --telemetry-port, --profile and
+// --rss-sample may also be given bare, which keeps their default.
+Status ParseNumericOptions(CliArgs* args) {
+  auto bad = [&](const std::string& key) {
+    return Status::InvalidArgument("--" + key + ": not a valid number: " +
+                                   args->Get(key, ""));
+  };
+  // Stores --key in *out when present and in [0, max]; false when malformed.
+  auto whole = [&](const std::string& key, uint64_t max, bool bare_ok,
+                   auto* out) {
+    const std::string text = args->Get(key, "");
+    if (text.empty() || (bare_ok && text == "true")) return true;
+    uint64_t value = 0;
+    if (!ParseUint64(text, &value) || value > max) return false;
+    *out = static_cast<std::remove_reference_t<decltype(*out)>>(value);
+    return true;
+  };
+  if (!whole("models", INT_MAX, false, &args->models)) return bad("models");
+  if (!whole("top", SIZE_MAX, false, &args->top)) return bad("top");
+  const std::string target = args->Get("target", "");
+  args->numeric_target =
+      !target.empty() && std::isdigit(static_cast<unsigned char>(target[0]));
+  if (args->numeric_target &&
+      !whole("target", SIZE_MAX, false, &args->target_index)) {
+    return bad("target");
+  }
+  const std::string lease = args->Get("lease-sec", "");
+  if (!lease.empty() &&
+      (!ParseDouble(lease, &args->lease_sec) ||
+       !std::isfinite(args->lease_sec) || args->lease_sec <= 0.0)) {
+    return bad("lease-sec");
+  }
+  if (!args->Get("telemetry-port", "").empty()) args->telemetry_port = 0;
+  if (!whole("telemetry-port", 65535, true, &args->telemetry_port)) {
+    return bad("telemetry-port");
+  }
+  if (!whole("profile", INT_MAX, true, &args->profile_hz)) {
+    return bad("profile");
+  }
+  if (!whole("rss-sample", INT_MAX, true, &args->rss_sample_ms)) {
+    return bad("rss-sample");
+  }
+  return Status::OK();
+}
+
 Result<zoo::Modality> ParseModality(const std::string& text) {
   if (text == "image") return zoo::Modality::kImage;
   if (text == "text") return zoo::Modality::kText;
@@ -240,10 +300,9 @@ Result<LogLevel> ParseLogLevel(const std::string& text) {
 
 zoo::ModelZooConfig ZooConfigFrom(const CliArgs& args) {
   zoo::ModelZooConfig config;
-  const std::string models = args.Get("models", "");
-  if (!models.empty()) {
-    config.catalog.num_image_models = std::stoi(models);
-    config.catalog.num_text_models = std::stoi(models);
+  if (args.models >= 0) {
+    config.catalog.num_image_models = args.models;
+    config.catalog.num_text_models = args.models;
   }
   return config;
 }
@@ -331,17 +390,14 @@ int RunRank(const CliArgs& args) {
   zoo::ModelZoo zoo(ZooConfigFrom(args));
   size_t target = 0;
   bool found = false;
-  const bool numeric = !target_name.empty() &&
-                       std::isdigit(static_cast<unsigned char>(
-                           target_name[0]));
+  const bool numeric = args.numeric_target;
   if (numeric) {
     // Numeric targets index the modality's evaluation-target roster (the
     // paper's Table III rows): `--modality image --target 0` = caltech101.
     const std::vector<size_t> eval_targets =
         zoo.EvaluationTargets(modality.value());
-    const size_t index = static_cast<size_t>(std::stoul(target_name));
-    if (index < eval_targets.size()) {
-      target = eval_targets[index];
+    if (args.target_index < eval_targets.size()) {
+      target = eval_targets[args.target_index];
       found = true;
     }
   } else {
@@ -380,11 +436,10 @@ int RunRank(const CliArgs& args) {
               zoo.datasets()[target].name.c_str(), evaluation.pearson,
               evaluation.TopKMeanAccuracy(5));
 
-  const int top = std::stoi(args.Get("top", "10"));
   TablePrinter table({"rank", "model", "predicted", "actual"});
   int rank = 1;
   for (const core::Recommendation& rec :
-       core::TopModels(evaluation, zoo, static_cast<size_t>(top))) {
+       core::TopModels(evaluation, zoo, args.top)) {
     table.AddRow({std::to_string(rank++), rec.model_name,
                   FormatDouble(rec.predicted_score, 3),
                   FormatDouble(zoo.FineTuneAccuracy(rec.model_index, target),
@@ -441,7 +496,7 @@ int RunSweepWorkerCli(const CliArgs& args, const core::PipelineConfig& config,
   core::DistributedSweepOptions options;
   options.workdir = args.Get("workdir", "");
   options.worker_id = args.Get("worker-id", "");
-  options.lease_sec = std::stod(args.Get("lease-sec", "30"));
+  options.lease_sec = args.lease_sec;
   options.degrade_on_failure = !args.Flag("no-degrade");
   if (options.worker_id.empty() || options.worker_id == "true") {
     std::fprintf(stderr, "sweep --workdir requires --worker-id\n");
@@ -630,8 +685,7 @@ int RunExportHistory(const CliArgs& args) {
 // Prints the resolved kernel backend and everything this binary+CPU could
 // run, one fact per line so shell gates can grep it. Resolution happens on
 // the ActiveBackendName() call, so TG_ISA errors (forcing an unavailable
-// backend) surface here exactly as they would in a real run; likewise the
-// DefaultTreeEngine() call makes a bad TG_TREE fail here, not mid-pipeline.
+// backend) surface here exactly as they would in a real run.
 int RunBackend(const CliArgs& args) {
   (void)args;
   std::printf("active: %s\n", kernels::ActiveBackendName());
@@ -641,21 +695,16 @@ int RunBackend(const CliArgs& args) {
     joined += name;
   }
   std::printf("available: %s\n", joined.c_str());
-  std::printf("tree engine: %s (available: exact hist)\n",
-              ml::TreeEngineName(ml::DefaultTreeEngine()));
   return 0;
 }
 
 int Dispatch(const CliArgs& args) {
   if (args.command == "catalog") return RunCatalog(args);
   if (args.command == "backend") return RunBackend(args);
-  if (args.command == "rank") return RunRank(args);
-  if (args.command == "profile") {
-    // Profile report subcommand: rank under the profiler (Run() started it
-    // because of the command name) with a default target.
-    CliArgs ranked = args;
-    if (ranked.Get("target", "").empty()) ranked.options["target"] = "0";
-    return RunRank(ranked);
+  // Profile report subcommand: rank under the profiler (Run() started it
+  // because of the command name and defaulted the target).
+  if (args.command == "rank" || args.command == "profile") {
+    return RunRank(args);
   }
   if (args.command == "sweep") return RunSweep(args);
   if (args.command == "sweep-merge") return RunSweepMerge(args);
@@ -671,7 +720,15 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
     return Usage();
   }
-  const CliArgs& args = parsed.value();
+  CliArgs& args = parsed.value();
+  if (args.command == "profile" && args.Get("target", "").empty()) {
+    args.options["target"] = "0";
+  }
+  Status numbers = ParseNumericOptions(&args);
+  if (!numbers.ok()) {
+    std::fprintf(stderr, "tg_cli: %s\n", numbers.message().c_str());
+    return 2;
+  }
 
   Result<LogLevel> level = ParseLogLevel(args.Get("log-level", "warning"));
   if (!level.ok()) return Usage();
@@ -693,12 +750,10 @@ int Run(int argc, char** argv) {
   // warning, never a failed run.
   obs::MaybeStartEventLogFromEnv();
   bool telemetry_started = false;
-  const std::string telemetry_port = args.Get("telemetry-port", "");
-  if (!telemetry_port.empty()) {
+  if (args.telemetry_port >= 0) {
     // Bare --telemetry-port means "any port": 0 binds ephemeral and the
     // announcement below carries the resolved port.
-    const int port = telemetry_port == "true" ? 0 : std::stoi(telemetry_port);
-    Status started = obs::StartTelemetry(port);
+    Status started = obs::StartTelemetry(args.telemetry_port);
     if (started.ok()) {
       telemetry_started = true;
       std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%d\n",
@@ -715,21 +770,16 @@ int Run(int argc, char** argv) {
   const std::string profile_arg = args.Get("profile", "");
   const bool profiling = !profile_arg.empty() || args.command == "profile";
   if (profiling) {
-    int hz = 0;  // 0 = TG_PROFILE_HZ or the 97 Hz default
-    if (!profile_arg.empty() && profile_arg != "true") {
-      hz = std::stoi(profile_arg);
-    }
-    Status started = obs::StartProfiler(hz);
+    Status started = obs::StartProfiler(args.profile_hz);
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.ToString().c_str());
       return 1;
     }
   }
 
-  const std::string rss_interval = args.Get("rss-sample", "");
-  if (!rss_interval.empty() && rss_interval != "true") {
+  if (args.rss_sample_ms >= 0) {
     obs::ResourceSamplerOptions sampler_options;
-    sampler_options.interval_ms = std::stoi(rss_interval);
+    sampler_options.interval_ms = args.rss_sample_ms;
     obs::ResourceSampler::Instance().Start(sampler_options);
   }
 
