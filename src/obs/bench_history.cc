@@ -1,6 +1,7 @@
 #include "obs/bench_history.h"
 
-#include <cmath>
+#include <algorithm>
+#include <iterator>
 
 #include "util/json_util.h"
 #include "util/string_util.h"
@@ -10,9 +11,29 @@ namespace tg::obs {
 namespace {
 
 constexpr int kSchemaVersion = 1;
-// Compare thresholds no caller varies (see CompareOptions).
-constexpr double kMaxRssRatio = 1.50;
+
+// The compare gate policy, one value per gate (docs/observability.md has
+// the reasons). Stages are keyed "component@threads".
+struct StageLimit {
+  const char* stage;
+  double value;
+};
+// A stage regresses past this latest/baseline ratio (sub-100ms stages
+// jitter 30-40% run to run on shared hardware)...
+constexpr double kMaxTimeRatio = 1.60;
+// ...unless its baseline is under this floor, where timings are scheduler
+// noise.
+constexpr double kMinBaselineSeconds = 0.05;
+// Stages an optimization landed in get a tighter ratio and skip the floor.
+constexpr StageLimit kPinnedRatios[] = {{"skipgram_sharded@1", 1.25},
+                                        {"random_forest_fit@1", 1.25}};
+// Absolute ceilings in seconds on the latest run; a missing stage fails.
+constexpr StageLimit kCeilingSeconds[] = {{"random_forest_fit@1", 0.38}};
+constexpr double kMinIpcRatio = 0.70;
+constexpr double kMaxCacheMissRatio = 2.0;
+// Counter gates skip stages whose baseline saw fewer cycles than this.
 constexpr uint64_t kMinCounterCycles = 10000000;
+constexpr double kMaxRssRatio = 1.50;
 
 std::string StageKey(const std::string& component, uint64_t threads) {
   return component + "@" + std::to_string(threads);
@@ -198,12 +219,11 @@ std::string HistoryToJson(const std::vector<BenchRun>& runs) {
   return out;
 }
 
-std::vector<CeilingDelta> EvaluateCeilings(
-    const std::map<std::string, double>& stage_max_seconds,
-    const BenchRun& latest) {
+namespace {
+
+std::vector<CeilingDelta> CheckCeilings(const BenchRun& latest) {
   std::vector<CeilingDelta> out;
-  out.reserve(stage_max_seconds.size());
-  for (const auto& [stage, ceiling] : stage_max_seconds) {
+  for (const auto& [stage, ceiling] : kCeilingSeconds) {
     CeilingDelta delta;
     delta.stage = stage;
     delta.ceiling_seconds = ceiling;
@@ -220,9 +240,8 @@ std::vector<CeilingDelta> EvaluateCeilings(
   return out;
 }
 
-CompareReport CompareBenchRuns(const BenchRun& baseline,
-                               const BenchRun& latest,
-                               const CompareOptions& options) {
+// The ratio, counter and RSS gates: `latest` against `baseline`.
+CompareReport CompareRuns(const BenchRun& baseline, const BenchRun& latest) {
   CompareReport report;
   report.has_baseline = true;
 
@@ -253,14 +272,15 @@ CompareReport CompareBenchRuns(const BenchRun& baseline,
     delta.baseline_seconds = base_seconds;
     delta.latest_seconds = it->second;
     delta.ratio = base_seconds > 0.0 ? it->second / base_seconds : 0.0;
-    const auto override_it = options.stage_max_ratio.find(stage);
-    if (override_it != options.stage_max_ratio.end()) {
-      delta.skipped_below_floor = false;
-      delta.regressed = delta.ratio > override_it->second;
+    const auto pin = std::find_if(
+        std::begin(kPinnedRatios), std::end(kPinnedRatios),
+        [&](const StageLimit& limit) { return stage == limit.stage; });
+    if (pin != std::end(kPinnedRatios)) {
+      delta.regressed = delta.ratio > pin->value;
     } else {
-      delta.skipped_below_floor = base_seconds < options.min_seconds;
-      delta.regressed = !delta.skipped_below_floor &&
-                        delta.ratio > options.max_time_ratio;
+      delta.skipped_below_floor = base_seconds < kMinBaselineSeconds;
+      delta.regressed =
+          !delta.skipped_below_floor && delta.ratio > kMaxTimeRatio;
     }
     if (delta.regressed) report.ok = false;
     report.stages.push_back(std::move(delta));
@@ -272,26 +292,15 @@ CompareReport CompareBenchRuns(const BenchRun& baseline,
     }
   }
 
-  // Absolute ceilings judge the latest run alone -- the baseline plays no
-  // role, so they hold even as ratio baselines drift downward.
-  report.ceilings = EvaluateCeilings(options.stage_max_seconds, latest);
-  for (const CeilingDelta& delta : report.ceilings) {
-    if (delta.regressed) report.ok = false;
-  }
-
-  const bool counter_gates_requested =
-      options.min_ipc_ratio > 0.0 || options.max_cache_miss_ratio > 0.0;
   if (baseline.stage_counters.empty() || latest.stage_counters.empty()) {
     // Older-schema history entries (or counters-unavailable environments)
     // have no counter fields; the gates skip with a note instead of
     // erroring so a new binary can still compare against old baselines.
-    if (counter_gates_requested) {
-      report.notes.push_back(
-          std::string("hardware counters missing in ") +
-          (baseline.stage_counters.empty() ? "baseline" : "latest") +
-          " run (older schema or counters unavailable); counter gates "
-          "skipped");
-    }
+    report.notes.push_back(
+        std::string("hardware counters missing in ") +
+        (baseline.stage_counters.empty() ? "baseline" : "latest") +
+        " run (older schema or counters unavailable); counter gates "
+        "skipped");
   } else {
     for (const auto& [stage, base_counters] : baseline.stage_counters) {
       const auto it = latest.stage_counters.find(stage);
@@ -313,13 +322,10 @@ CompareReport CompareBenchRuns(const BenchRun& baseline,
       delta.skipped_below_floor =
           base_counters.cycles < kMinCounterCycles;
       if (!delta.skipped_below_floor) {
-        const bool ipc_regressed = options.min_ipc_ratio > 0.0 &&
-                                   delta.baseline_ipc > 0.0 &&
-                                   delta.ipc_ratio < options.min_ipc_ratio;
-        const bool miss_regressed =
-            options.max_cache_miss_ratio > 0.0 &&
-            delta.baseline_miss_rate > 0.0 &&
-            delta.miss_ratio > options.max_cache_miss_ratio;
+        const bool ipc_regressed =
+            delta.baseline_ipc > 0.0 && delta.ipc_ratio < kMinIpcRatio;
+        const bool miss_regressed = delta.baseline_miss_rate > 0.0 &&
+                                    delta.miss_ratio > kMaxCacheMissRatio;
         delta.regressed = ipc_regressed || miss_regressed;
       }
       if (delta.regressed) report.ok = false;
@@ -337,20 +343,40 @@ CompareReport CompareBenchRuns(const BenchRun& baseline,
   return report;
 }
 
+}  // namespace
+
+CompareReport CompareHistory(const std::vector<BenchRun>& runs) {
+  if (runs.empty()) return CompareReport{};
+  CompareReport report = runs.size() >= 2
+                             ? CompareRuns(runs[runs.size() - 2], runs.back())
+                             : CompareReport{};
+  // Absolute ceilings judge the latest run alone -- the baseline plays no
+  // role, so they bind on a one-run history and hold even as ratio
+  // baselines drift downward.
+  report.ceilings = CheckCeilings(runs.back());
+  for (const CeilingDelta& delta : report.ceilings) {
+    if (delta.regressed) report.ok = false;
+  }
+  return report;
+}
+
 std::string CompareReport::Render() const {
-  if (!has_baseline) {
-    return "no baseline run in history; nothing to compare (passing)\n";
+  std::string out;
+  if (has_baseline) {
+    TablePrinter table(
+        {"stage", "baseline s", "latest s", "ratio", "verdict"});
+    for (const StageDelta& delta : stages) {
+      table.AddRow({delta.stage, FormatDouble(delta.baseline_seconds, 4),
+                    FormatDouble(delta.latest_seconds, 4),
+                    FormatDouble(delta.ratio, 3),
+                    delta.regressed             ? "REGRESSED"
+                    : delta.skipped_below_floor ? "below floor"
+                                                : "ok"});
+    }
+    out = table.Render();
+  } else {
+    out = "no baseline run in history; ratio, counter and RSS gates skipped\n";
   }
-  TablePrinter table({"stage", "baseline s", "latest s", "ratio", "verdict"});
-  for (const StageDelta& delta : stages) {
-    table.AddRow({delta.stage, FormatDouble(delta.baseline_seconds, 4),
-                  FormatDouble(delta.latest_seconds, 4),
-                  FormatDouble(delta.ratio, 3),
-                  delta.regressed             ? "REGRESSED"
-                  : delta.skipped_below_floor ? "below floor"
-                                              : "ok"});
-  }
-  std::string out = table.Render();
   if (!ceilings.empty()) {
     TablePrinter ceiling_table({"stage", "ceiling s", "latest s", "verdict"});
     for (const CeilingDelta& delta : ceilings) {

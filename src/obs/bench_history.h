@@ -1,6 +1,7 @@
 // Run-over-run benchmark history: parse one bench_timings.json snapshot
 // into a BenchRun, accumulate runs into bench_csv/BENCH_history.json, and
-// diff the latest run against a baseline with regression thresholds. The
+// judge the latest run against the one before it under one fixed set of
+// regression thresholds (the table in docs/observability.md). The
 // tools/bench_history CLI wraps these (append / compare / show);
 // tools/run_checks.sh uses compare as a pre-PR gate.
 //
@@ -70,38 +71,6 @@ Result<std::vector<BenchRun>> ParseHistoryJson(const std::string& json);
 // Serializes runs back to the schema above (validates round-trip clean).
 std::string HistoryToJson(const std::vector<BenchRun>& runs);
 
-struct CompareOptions {
-  // A stage regresses when latest/baseline exceeds this ratio...
-  double max_time_ratio = 1.30;
-  // ...unless the baseline is below this floor (sub-centisecond stages are
-  // dominated by scheduler noise on shared CI hardware).
-  double min_seconds = 0.01;
-  // Peak RSS regresses past a fixed 1.50x of the baseline.
-  // Per-stage overrides of max_time_ratio, keyed "component@threads". A
-  // value below 1.0 demands an improvement: the dispatch gate pins
-  // "skipgram_sharded@1" under 1/1.5 so the SIMD speedup cannot silently
-  // erode. Overridden stages ignore the min_seconds floor (pinning a stage
-  // is an explicit statement that its baseline is trustworthy).
-  std::map<std::string, double> stage_max_ratio;
-  // Absolute wall-time ceilings in seconds, keyed "component@threads",
-  // evaluated against the LATEST run only. Unlike a sub-1.0 ratio pin --
-  // which starts failing the run after the improvement it demanded lands in
-  // the baseline -- an absolute ceiling is stable run over run, so it is the
-  // right way to make a speedup permanently improvement-demanding. A ceiling
-  // stage missing from the latest run regresses (a gate that silently
-  // stopped measuring is not a passing gate).
-  std::map<std::string, double> stage_max_seconds;
-  // Hardware-counter gates (0 = disabled). A stage regresses when
-  // latest_ipc / baseline_ipc drops below min_ipc_ratio, or when
-  // latest_miss_rate / baseline_miss_rate exceeds max_cache_miss_ratio.
-  // Stages whose baseline saw fewer than 10M cycles are skipped as
-  // noise. Runs missing counters entirely (appended before the
-  // counter schema, or counters unavailable in that environment) produce a
-  // note and skip the gates -- never an error.
-  double min_ipc_ratio = 0.0;
-  double max_cache_miss_ratio = 0.0;
-};
-
 struct StageDelta {
   std::string stage;       // "component@threads"
   double baseline_seconds = 0.0;
@@ -123,7 +92,7 @@ struct CounterDelta {
   bool skipped_below_floor = false;  // baseline cycles under the noise floor
 };
 
-// One absolute-ceiling verdict (CompareOptions::stage_max_seconds).
+// One absolute wall-time ceiling verdict, judged on the latest run alone.
 struct CeilingDelta {
   std::string stage;  // "component@threads"
   double ceiling_seconds = 0.0;
@@ -133,10 +102,10 @@ struct CeilingDelta {
 };
 
 struct CompareReport {
-  bool has_baseline = false;  // false: nothing to compare against, passes
-  bool ok = true;             // false iff any stage or RSS regressed
+  bool has_baseline = false;  // false: only the ceilings were judged
+  bool ok = true;             // false iff any gate regressed
   std::vector<StageDelta> stages;      // stages present in both runs
-  std::vector<CeilingDelta> ceilings;  // absolute stage_max_seconds gates
+  std::vector<CeilingDelta> ceilings;  // absolute wall-time ceilings
   std::vector<CounterDelta> counters;  // stages with counters in both runs
   std::vector<std::string> only_in_baseline;
   std::vector<std::string> only_in_latest;
@@ -148,19 +117,13 @@ struct CompareReport {
   std::string Render() const;
 };
 
-// Evaluates absolute stage ceilings against a single run. Needs no
-// baseline, so callers can gate the very first run in a fresh history;
-// CompareBenchRuns routes CompareOptions::stage_max_seconds through this.
-std::vector<CeilingDelta> EvaluateCeilings(
-    const std::map<std::string, double>& stage_max_seconds,
-    const BenchRun& latest);
-
-// Diffs `latest` against `baseline`. Build-stamp mismatches (different
-// build_type / sanitizer / compiler) do not fail the compare but are noted
-// in the report, since cross-build ratios are not meaningful evidence.
-CompareReport CompareBenchRuns(const BenchRun& baseline,
-                               const BenchRun& latest,
-                               const CompareOptions& options = {});
+// Judges the last run of `runs` under the fixed gate policy. The absolute
+// ceilings need only that run, so they bind from the first run on; the
+// stage-ratio, counter and RSS gates diff it against the run before it
+// once there is one. An empty history passes. Build-stamp mismatches
+// (different build_type / sanitizer / compiler) do not fail the compare
+// but are noted, since cross-build ratios are not meaningful evidence.
+CompareReport CompareHistory(const std::vector<BenchRun>& runs);
 
 }  // namespace tg::obs
 

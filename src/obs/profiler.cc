@@ -10,7 +10,6 @@
 #include <ctime>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "obs/trace.h"
@@ -21,7 +20,6 @@
 
 #if defined(__linux__)
 #include <dlfcn.h>
-#include <pthread.h>
 #include <ucontext.h>
 #include <cxxabi.h>
 #endif
@@ -30,7 +28,6 @@ namespace tg::obs {
 namespace {
 
 constexpr size_t kMaxSpanDepth = 8;
-constexpr size_t kMaxFrames = 24;
 // Ring capacity per thread: ~42s of samples at the default 97 Hz before a
 // drain is needed; a full ring drops (and counts) rather than overwrites,
 // so the drain side never races a writer on the same slot.
@@ -38,15 +35,15 @@ constexpr size_t kRingCapacity = 4096;
 
 // One sample, written entirely inside the signal handler. Span names are
 // static-storage string pointers captured from the open-span chain
-// (innermost first); PCs come from the frame-pointer walk (innermost
-// first, pcs[0] = interrupted instruction).
+// (innermost first); `pc` is the interrupted instruction (0 = unknown).
+// No caller frames: the Release build omits frame pointers, so a walk of
+// the RBP chain would follow whatever the register happens to hold.
 struct RawSample {
   uint64_t t_ns = 0;
   uint64_t span_id = 0;
   uint32_t num_names = 0;
-  uint32_t num_pcs = 0;
   const char* names[kMaxSpanDepth];
-  uintptr_t pcs[kMaxFrames];
+  uintptr_t pc = 0;
 };
 
 // Lock-free SPSC ring: the owning thread's signal handler publishes with a
@@ -56,8 +53,6 @@ struct RawSample {
 struct ThreadSampleBuffer {
   std::atomic<uint64_t> published{0};
   std::atomic<uint64_t> consumed{0};
-  uintptr_t stack_lo = 0;  // pthread stack bounds for FP-walk validation;
-  uintptr_t stack_hi = 0;  // 0 = unknown, PC-only samples
   RawSample slots[kRingCapacity];
 };
 
@@ -92,40 +87,17 @@ bool g_handler_installed = false;  // guarded by g_lifecycle_mu
 
 #if defined(__linux__)
 
-// Frame-pointer chain walk, validated so a garbage RBP (the default -O2
-// build omits frame pointers) terminates cleanly instead of faulting:
-// every candidate frame must lie inside the thread's stack, be
-// pointer-aligned, and move monotonically toward the stack base.
-size_t CaptureBacktrace(void* uc_void, const ThreadSampleBuffer* buf,
-                        uintptr_t* pcs, size_t max) {
+// The interrupted instruction from the signal context.
+uintptr_t InterruptedPc(const void* uc_void) {
   if (uc_void == nullptr) return 0;
   const ucontext_t* uc = static_cast<const ucontext_t*>(uc_void);
-  uintptr_t pc = 0;
-  uintptr_t fp = 0;
 #if defined(__x86_64__)
-  pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-  fp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RBP]);
+  return static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
 #elif defined(__aarch64__)
-  pc = static_cast<uintptr_t>(uc->uc_mcontext.pc);
-  fp = static_cast<uintptr_t>(uc->uc_mcontext.regs[29]);
+  return static_cast<uintptr_t>(uc->uc_mcontext.pc);
 #else
   return 0;
 #endif
-  size_t n = 0;
-  if (pc != 0 && n < max) pcs[n++] = pc;
-  if (buf->stack_lo == 0 || buf->stack_hi == 0) return n;
-  while (n < max && fp >= buf->stack_lo &&
-         fp + 2 * sizeof(uintptr_t) <= buf->stack_hi &&
-         fp % sizeof(uintptr_t) == 0) {
-    const uintptr_t next_fp = *reinterpret_cast<const uintptr_t*>(fp);
-    const uintptr_t ret =
-        *reinterpret_cast<const uintptr_t*>(fp + sizeof(uintptr_t));
-    if (ret == 0) break;
-    pcs[n++] = ret;
-    if (next_fp <= fp) break;
-    fp = next_fp;
-  }
-  return n;
 }
 
 // Async-signal-safe by construction: thread-local memory allocated
@@ -150,9 +122,7 @@ void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* uc_void) {
         s.span_id = CurrentSpanId();
         s.num_names = static_cast<uint32_t>(
             OpenSpanNamesForSignal(s.names, kMaxSpanDepth));
-        s.num_pcs =
-            static_cast<uint32_t>(CaptureBacktrace(uc_void, buf, s.pcs,
-                                                   kMaxFrames));
+        s.pc = InterruptedPc(uc_void);
         buf->published.store(w + 1, std::memory_order_release);
       }
     }
@@ -164,18 +134,13 @@ void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* uc_void) {
 
 // --- Aggregates (off-signal) ------------------------------------------------
 
-struct SymbolStat {
-  uint64_t self = 0;
-  uint64_t total = 0;
-};
-
 struct ProfileAggregates {
   std::mutex mu;
   uint64_t samples = 0;
   std::map<std::string, uint64_t> stacks;       // collapsed key -> count
   std::map<std::string, uint64_t> span_counts;  // innermost span name
   std::map<uint64_t, uint64_t> span_id_counts;
-  std::map<std::string, SymbolStat> symbols;
+  std::map<std::string, uint64_t> symbols;  // interrupted-PC symbol
   std::map<uintptr_t, std::string> symbol_cache;
   std::vector<uint64_t> sample_times_ns;
 };
@@ -185,18 +150,15 @@ ProfileAggregates& Aggregates() {
   return *agg;
 }
 
-std::string SymbolizePc(uintptr_t pc, bool is_return_address,
+std::string SymbolizePc(uintptr_t pc,
                         std::map<uintptr_t, std::string>* cache) {
   const auto it = cache->find(pc);
   if (it != cache->end()) return it->second;
   std::string name;
 #if defined(__linux__)
-  // Return addresses point just past the call; back up one byte so the
-  // lookup lands inside the calling function, not whatever follows it.
-  const uintptr_t lookup = is_return_address && pc != 0 ? pc - 1 : pc;
   Dl_info info;
   std::memset(&info, 0, sizeof(info));
-  if (dladdr(reinterpret_cast<void*>(lookup), &info) != 0 &&
+  if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
       info.dli_sname != nullptr) {
     int demangle_status = 0;
     char* demangled = abi::__cxa_demangle(info.dli_sname, nullptr, nullptr,
@@ -208,8 +170,6 @@ std::string SymbolizePc(uintptr_t pc, bool is_return_address,
     }
     std::free(demangled);
   }
-#else
-  (void)is_return_address;
 #endif
   if (name.empty()) {
     char hex[2 + 2 * sizeof(uintptr_t) + 1];
@@ -230,41 +190,24 @@ void AggregateSample(const RawSample& s, ProfileAggregates* agg) {
   agg->span_counts[innermost] += 1;
   if (s.span_id != 0) agg->span_id_counts[s.span_id] += 1;
 
-  // Collapsed key, root first: outermost span .. innermost span, then
-  // outermost frame .. the interrupted PC.
+  // Collapsed key, root first: outermost span .. innermost span, then the
+  // interrupted PC's symbol. Without a PC the innermost span stands in as
+  // the symbol, so the report still attributes the sample.
   std::string key;
   for (size_t i = s.num_names; i > 0; --i) {
     if (!key.empty()) key += ';';
     key += s.names[i - 1];
   }
-  std::vector<std::string> frame_names;
-  frame_names.reserve(s.num_pcs);
-  for (size_t i = 0; i < s.num_pcs; ++i) {
-    frame_names.push_back(
-        SymbolizePc(s.pcs[i], /*is_return_address=*/i > 0,
-                    &agg->symbol_cache));
-  }
-  for (size_t i = frame_names.size(); i > 0; --i) {
+  if (s.pc != 0) {
+    const std::string symbol = SymbolizePc(s.pc, &agg->symbol_cache);
     if (!key.empty()) key += ';';
-    key += frame_names[i - 1];
+    key += symbol;
+    agg->symbols[symbol] += 1;
+  } else {
+    agg->symbols[std::string("span:") + innermost] += 1;
   }
   if (key.empty()) key = "(unattributed)";
   agg->stacks[key] += 1;
-
-  // Per-symbol: self = leaf frame only, total = once per sample for every
-  // symbol present anywhere in the stack (recursion counts once).
-  if (!frame_names.empty()) {
-    agg->symbols[frame_names[0]].self += 1;
-  } else {
-    // No walkable frames: attribute self time to the innermost span so the
-    // report stays meaningful under -fomit-frame-pointer.
-    agg->symbols[std::string("span:") + innermost].self += 1;
-    agg->symbols[std::string("span:") + innermost].total += 1;
-  }
-  const std::set<std::string> unique(frame_names.begin(), frame_names.end());
-  for (const std::string& sym : unique) {
-    agg->symbols[sym].total += 1;
-  }
 }
 
 void DrainInto(ProfileAggregates* agg) {
@@ -299,18 +242,6 @@ void ProfilerEnsureThreadRegistered() {
   if (t_buffer_raw != nullptr) return;
   if (!g_running.load(std::memory_order_relaxed)) return;
   auto fresh = std::make_shared<ThreadSampleBuffer>();
-#if defined(__linux__)
-  pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-    void* stack_addr = nullptr;
-    size_t stack_size = 0;
-    if (pthread_attr_getstack(&attr, &stack_addr, &stack_size) == 0) {
-      fresh->stack_lo = reinterpret_cast<uintptr_t>(stack_addr);
-      fresh->stack_hi = fresh->stack_lo + stack_size;
-    }
-    pthread_attr_destroy(&attr);
-  }
-#endif
   {
     SampleRegistry& registry = Registry();
     std::lock_guard<std::mutex> lock(registry.mu);
@@ -461,22 +392,18 @@ std::string ProfileReportTable(size_t top_n) {
   ProfileAggregates& agg = Aggregates();
   std::lock_guard<std::mutex> lock(agg.mu);
   if (agg.symbols.empty()) return "";
-  std::vector<std::pair<std::string, SymbolStat>> rows(agg.symbols.begin(),
-                                                       agg.symbols.end());
+  std::vector<std::pair<std::string, uint64_t>> rows(agg.symbols.begin(),
+                                                     agg.symbols.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    if (a.second.self != b.second.self) return a.second.self > b.second.self;
-    if (a.second.total != b.second.total) {
-      return a.second.total > b.second.total;
-    }
+    if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
   if (rows.size() > top_n) rows.resize(top_n);
-  TablePrinter table({"symbol", "self", "total", "self%"});
+  TablePrinter table({"symbol", "samples", "%"});
   const double denom = agg.samples > 0 ? static_cast<double>(agg.samples) : 1;
-  for (const auto& [symbol, stat] : rows) {
-    table.AddRow({symbol, std::to_string(stat.self),
-                  std::to_string(stat.total),
-                  FormatDouble(100.0 * static_cast<double>(stat.self) / denom,
+  for (const auto& [symbol, count] : rows) {
+    table.AddRow({symbol, std::to_string(count),
+                  FormatDouble(100.0 * static_cast<double>(count) / denom,
                                1)});
   }
   return table.Render();

@@ -1,11 +1,11 @@
 // Timer-based sampling CPU profiler: a POSIX CPU-time timer delivers
 // SIGPROF at a configurable rate (default ~97 Hz -- prime, so it cannot
 // phase-lock with millisecond-periodic work); the async-signal-safe handler
-// captures a frame-pointer backtrace plus the open-span name chain into a
+// captures the interrupted PC plus the open-span name chain into a
 // lock-free thread-local ring buffer (same release/acquire block-buffer
 // design as trace.cc), which is drained off-signal into per-span and
 // per-symbol aggregates, a collapsed-stack dump (flamegraph.pl /
-// speedscope-ready), and a top-N self/total table.
+// speedscope-ready), and a top-N symbol table.
 //
 // Signal-safety: the handler touches only thread-local memory that was
 // allocated off-signal, relaxed/release atomics, the trace clock, and the
@@ -15,10 +15,11 @@
 // a counter instead of sampling unsafely.
 //
 // Attribution: every sample records the open-span *name* chain (static
-// string pointers, safe to read from the handler) in addition to raw PCs,
-// so samples attribute to pipeline stages even when -fomit-frame-pointer
-// leaves the PC walk with a single frame. Collapsed stacks are rooted at
-// the span chain: `walk_corpus;skipgram_train;SymbolA;SymbolB 42`.
+// string pointers, safe to read from the handler) and the interrupted PC,
+// so the span chain stands in for the call stack. No caller frames are
+// walked: the Release build omits frame pointers, so RBP holds no frame
+// chain to follow. Collapsed stacks are the span chain plus the symbol of
+// the interrupted PC: `walk_corpus;skipgram_train;SymbolA 42`.
 //
 // Cost model: when the profiler is stopped (the default) the per-span hook
 // is covered by the same single relaxed mode-word load that gates tracing;
@@ -84,7 +85,7 @@ uint64_t ProfilerDroppedSampleCount();
 // Must not be called while the profiler is running.
 void ResetProfile();
 
-// Collapsed-stack text: one "frame;frame;...;leaf count" line per unique
+// Collapsed-stack text: one "span;...;span;symbol count" line per unique
 // stack, rooted at the span-name chain, newline-terminated. Feed to
 // flamegraph.pl or speedscope. Empty string when no samples.
 std::string CollapsedStacks();
@@ -92,8 +93,8 @@ std::string CollapsedStacks();
 // CollapsedStacks() written atomically to `path`.
 Status WriteCollapsedStacks(const std::string& path);
 
-// Aligned table of the hottest symbols: self samples (leaf frames), total
-// samples (anywhere in the stack), and self%. `top_n` rows, hottest first.
+// Aligned table of the hottest symbols of the interrupted PC: samples and
+// their share of all samples. `top_n` rows, hottest first.
 std::string ProfileReportTable(size_t top_n = 20);
 
 // Sample counts keyed by innermost open span name at sample time; samples

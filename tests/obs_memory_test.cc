@@ -278,7 +278,25 @@ obs::BenchRun MakeRun(const std::string& sha, double graph_s, double gbdt_s,
   run.peak_rss_bytes = rss;
   run.stage_seconds["graph_build@4"] = graph_s;
   run.stage_seconds["gbdt_fit@4"] = gbdt_s;
+  // Inside the fixed 0.38 s ceiling, so only the stage under test can fail.
+  run.stage_seconds["random_forest_fit@1"] = 0.30;
   return run;
+}
+
+// Judges `latest` against `baseline` under the fixed gate policy.
+obs::CompareReport Compare(const obs::BenchRun& baseline,
+                           const obs::BenchRun& latest) {
+  return obs::CompareHistory({baseline, latest});
+}
+
+// The delta for `stage`, or a test failure and a default delta.
+obs::StageDelta FindStage(const obs::CompareReport& report,
+                          const std::string& stage) {
+  for (const obs::StageDelta& delta : report.stages) {
+    if (delta.stage == stage) return delta;
+  }
+  ADD_FAILURE() << "no delta for " << stage;
+  return {};
 }
 
 TEST(BenchHistoryTest, TimingsJsonParsesIntoRun) {
@@ -336,9 +354,8 @@ TEST(BenchHistoryTest, UnsupportedSchemaRejected) {
 
 TEST(BenchHistoryTest, CompareFlagsTimeRegression) {
   const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
-  const obs::BenchRun latest = MakeRun("bbb", 2.0, 2.0, 1000);  // 2x slower
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, obs::CompareOptions{});
+  const obs::BenchRun latest = MakeRun("bbb", 1.7, 2.0, 1000);  // 1.7x
+  const obs::CompareReport report = Compare(baseline, latest);
   EXPECT_TRUE(report.has_baseline);
   EXPECT_FALSE(report.ok);
   size_t regressed = 0;
@@ -346,7 +363,7 @@ TEST(BenchHistoryTest, CompareFlagsTimeRegression) {
     if (delta.regressed) {
       ++regressed;
       EXPECT_EQ(delta.stage, "graph_build@4");
-      EXPECT_DOUBLE_EQ(delta.ratio, 2.0);
+      EXPECT_DOUBLE_EQ(delta.ratio, 1.7);
     }
   }
   EXPECT_EQ(regressed, 1u);
@@ -355,38 +372,106 @@ TEST(BenchHistoryTest, CompareFlagsTimeRegression) {
 
 TEST(BenchHistoryTest, ComparePassesOnImprovementAndNoise) {
   const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
-  // One stage 2x faster, the other within the 1.30 threshold.
-  const obs::BenchRun latest = MakeRun("bbb", 0.5, 2.4, 1000);
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, obs::CompareOptions{});
-  EXPECT_TRUE(report.ok);
+  // One stage 2x faster, the other 1.5x slower: inside the 1.60 ratio.
+  const obs::BenchRun latest = MakeRun("bbb", 0.5, 3.0, 1000);
+  const obs::CompareReport report = Compare(baseline, latest);
+  EXPECT_TRUE(report.ok) << report.Render();
   EXPECT_NE(report.Render().find("bench-compare: OK"), std::string::npos);
 }
 
 TEST(BenchHistoryTest, CompareIgnoresStagesBelowNoiseFloor) {
   obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
   obs::BenchRun latest = MakeRun("bbb", 1.0, 2.0, 1000);
-  baseline.stage_seconds["tiny@4"] = 0.001;
-  latest.stage_seconds["tiny@4"] = 0.009;  // 9x, but sub-millisecond noise
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, obs::CompareOptions{});
-  EXPECT_TRUE(report.ok);
-  bool found_tiny = false;
-  for (const obs::StageDelta& delta : report.stages) {
-    if (delta.stage == "tiny@4") {
-      found_tiny = true;
-      EXPECT_TRUE(delta.skipped_below_floor);
-      EXPECT_FALSE(delta.regressed);
-    }
+  baseline.stage_seconds["tiny@4"] = 0.04;  // under the 0.05 s floor
+  latest.stage_seconds["tiny@4"] = 0.4;     // 10x, but scheduler noise
+  obs::CompareReport report = Compare(baseline, latest);
+  EXPECT_TRUE(report.ok) << report.Render();
+  EXPECT_TRUE(FindStage(report, "tiny@4").skipped_below_floor);
+  EXPECT_FALSE(FindStage(report, "tiny@4").regressed);
+
+  // A baseline at the floor is judged.
+  baseline.stage_seconds["tiny@4"] = 0.05;
+  latest.stage_seconds["tiny@4"] = 0.1;
+  report = Compare(baseline, latest);
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(FindStage(report, "tiny@4").skipped_below_floor);
+  EXPECT_TRUE(FindStage(report, "tiny@4").regressed);
+}
+
+TEST(BenchHistoryTest, PinnedStagesFailPastTheirTighterRatio) {
+  obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
+  obs::BenchRun latest = MakeRun("bbb", 1.3, 2.0, 1000);
+  baseline.stage_seconds["skipgram_sharded@1"] = 0.5;
+  latest.stage_seconds["skipgram_sharded@1"] = 0.65;  // 1.3x > 1.25 pin
+  obs::CompareReport report = Compare(baseline, latest);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(FindStage(report, "skipgram_sharded@1").regressed);
+  // The same 1.3x on an unpinned stage is inside the 1.60 ratio.
+  EXPECT_FALSE(FindStage(report, "graph_build@4").regressed);
+
+  // Pinned stages skip the noise floor: 0.02 s -> 0.03 s still fails.
+  latest.stage_seconds["skipgram_sharded@1"] = 0.6;  // 1.2x passes
+  baseline.stage_seconds["random_forest_fit@1"] = 0.02;
+  latest.stage_seconds["random_forest_fit@1"] = 0.03;
+  report = Compare(baseline, latest);
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(FindStage(report, "skipgram_sharded@1").regressed);
+  EXPECT_FALSE(FindStage(report, "random_forest_fit@1").skipped_below_floor);
+  EXPECT_TRUE(FindStage(report, "random_forest_fit@1").regressed);
+}
+
+TEST(BenchHistoryTest, StageCeilingPassesUnderAndFailsOver) {
+  // The ceiling needs no baseline: a one-run history is judged by it.
+  obs::BenchRun only = MakeRun("aaa", 1.0, 2.0, 1000);
+  only.stage_seconds["random_forest_fit@1"] = 0.37;
+  obs::CompareReport report = obs::CompareHistory({only});
+  EXPECT_FALSE(report.has_baseline);
+  EXPECT_TRUE(report.ok) << report.Render();
+  ASSERT_EQ(report.ceilings.size(), 1u);
+  EXPECT_EQ(report.ceilings[0].stage, "random_forest_fit@1");
+  EXPECT_DOUBLE_EQ(report.ceilings[0].ceiling_seconds, 0.38);
+  EXPECT_DOUBLE_EQ(report.ceilings[0].latest_seconds, 0.37);
+  EXPECT_FALSE(report.ceilings[0].regressed);
+  EXPECT_NE(report.Render().find("ceiling"), std::string::npos);
+
+  only.stage_seconds["random_forest_fit@1"] = 0.45;
+  report = obs::CompareHistory({only});
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(report.ceilings[0].regressed);
+  EXPECT_NE(report.Render().find("REGRESSION"), std::string::npos);
+
+  // The ceiling binds on the latest run even when the ratio gate passes:
+  // 0.5 s -> 0.39 s is a 0.78x improvement, yet over 0.38 s.
+  obs::BenchRun slow_baseline = MakeRun("bbb", 1.0, 2.0, 1000);
+  slow_baseline.stage_seconds["random_forest_fit@1"] = 0.5;
+  only.stage_seconds["random_forest_fit@1"] = 0.39;
+  report = Compare(slow_baseline, only);
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(FindStage(report, "random_forest_fit@1").regressed);
+  ASSERT_EQ(report.ceilings.size(), 1u);
+  EXPECT_TRUE(report.ceilings[0].regressed);
+  EXPECT_FALSE(report.ceilings[0].missing);
+}
+
+TEST(BenchHistoryTest, StageCeilingMissingStageRegresses) {
+  // A gate whose stage vanished from the bench is a silent gap, not a pass.
+  const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
+  obs::BenchRun latest = MakeRun("bbb", 1.0, 2.0, 1000);
+  latest.stage_seconds.erase("random_forest_fit@1");
+  for (const obs::CompareReport& report :
+       {Compare(baseline, latest), obs::CompareHistory({latest})}) {
+    EXPECT_FALSE(report.ok);
+    ASSERT_EQ(report.ceilings.size(), 1u);
+    EXPECT_TRUE(report.ceilings[0].missing);
+    EXPECT_TRUE(report.ceilings[0].regressed);
+    EXPECT_NE(report.Render().find("missing"), std::string::npos);
   }
-  EXPECT_TRUE(found_tiny);
 }
 
 TEST(BenchHistoryTest, CompareFlagsRssRegression) {
   const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
   const obs::BenchRun latest = MakeRun("bbb", 1.0, 2.0, 1600);  // 1.6x RSS
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, obs::CompareOptions{});
+  const obs::CompareReport report = Compare(baseline, latest);
   EXPECT_FALSE(report.ok);
   EXPECT_TRUE(report.rss_regressed);
   EXPECT_DOUBLE_EQ(report.rss_ratio, 1.6);
@@ -396,72 +481,18 @@ TEST(BenchHistoryTest, CompareNotesBuildMismatchWithoutFailing) {
   const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
   obs::BenchRun latest = MakeRun("bbb", 1.0, 2.0, 1000);
   latest.sanitizer = "thread";
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, obs::CompareOptions{});
+  const obs::CompareReport report = Compare(baseline, latest);
   EXPECT_TRUE(report.ok);
   ASSERT_FALSE(report.notes.empty());
   EXPECT_NE(report.notes[0].find("build stamps differ"), std::string::npos);
 }
 
-TEST(BenchHistoryTest, MissingBaselineRendersAsPassing) {
-  const obs::CompareReport report;  // default: has_baseline = false
+TEST(BenchHistoryTest, EmptyHistoryPasses) {
+  const obs::CompareReport report = obs::CompareHistory({});
+  EXPECT_FALSE(report.has_baseline);
   EXPECT_TRUE(report.ok);
-  EXPECT_NE(report.Render().find("nothing to compare"), std::string::npos);
-}
-
-TEST(BenchHistoryTest, StageCeilingPassesUnderAndFailsOver) {
-  const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
-  const obs::BenchRun latest = MakeRun("bbb", 0.9, 2.0, 1000);
-  obs::CompareOptions options;
-  options.stage_max_seconds["graph_build@4"] = 1.0;
-  obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, options);
-  EXPECT_TRUE(report.ok);
-  ASSERT_EQ(report.ceilings.size(), 1u);
-  EXPECT_EQ(report.ceilings[0].stage, "graph_build@4");
-  EXPECT_DOUBLE_EQ(report.ceilings[0].latest_seconds, 0.9);
-  EXPECT_FALSE(report.ceilings[0].regressed);
-  EXPECT_NE(report.Render().find("ceiling"), std::string::npos);
-
-  // The ceiling binds on the LATEST run even when the ratio gate passes:
-  // baseline 2.0 -> latest 1.5 is a 0.75 ratio improvement, yet over an
-  // absolute 1.0s ceiling.
-  const obs::BenchRun slow = MakeRun("ccc", 1.5, 2.0, 1000);
-  const obs::BenchRun slow_baseline = MakeRun("ddd", 2.0, 2.0, 1000);
-  report = obs::CompareBenchRuns(slow_baseline, slow, options);
-  EXPECT_FALSE(report.ok);
-  ASSERT_EQ(report.ceilings.size(), 1u);
-  EXPECT_TRUE(report.ceilings[0].regressed);
-  EXPECT_FALSE(report.ceilings[0].missing);
-}
-
-TEST(BenchHistoryTest, StageCeilingMissingStageRegresses) {
-  // A gate whose stage vanished from the bench is a silent gap, not a pass.
-  const obs::BenchRun baseline = MakeRun("aaa", 1.0, 2.0, 1000);
-  const obs::BenchRun latest = MakeRun("bbb", 1.0, 2.0, 1000);
-  obs::CompareOptions options;
-  options.stage_max_seconds["not_measured@1"] = 0.5;
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, options);
-  EXPECT_FALSE(report.ok);
-  ASSERT_EQ(report.ceilings.size(), 1u);
-  EXPECT_TRUE(report.ceilings[0].missing);
-  EXPECT_TRUE(report.ceilings[0].regressed);
-  EXPECT_NE(report.Render().find("missing"), std::string::npos);
-}
-
-TEST(BenchHistoryTest, EvaluateCeilingsWorksWithoutBaseline) {
-  // The standalone evaluator backs the single-run path in the CLI: a fresh
-  // history (one run) must still enforce absolute ceilings.
-  const obs::BenchRun only = MakeRun("aaa", 0.3, 2.0, 1000);
-  std::map<std::string, double> ceilings;
-  ceilings["graph_build@4"] = 0.38;
-  ceilings["gbdt_fit@4"] = 1.0;
-  const std::vector<obs::CeilingDelta> deltas =
-      obs::EvaluateCeilings(ceilings, only);
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_FALSE(deltas[1].regressed);  // graph_build 0.3 <= 0.38
-  EXPECT_TRUE(deltas[0].regressed);   // gbdt 2.0 > 1.0
+  EXPECT_TRUE(report.ceilings.empty());
+  EXPECT_NE(report.Render().find("no baseline"), std::string::npos);
 }
 
 TEST(BenchHistoryTest, StageSetChangesAreNotedNotFailed) {
@@ -469,8 +500,7 @@ TEST(BenchHistoryTest, StageSetChangesAreNotedNotFailed) {
   obs::BenchRun latest = MakeRun("bbb", 1.0, 2.0, 1000);
   baseline.stage_seconds["removed@4"] = 1.0;
   latest.stage_seconds["added@4"] = 1.0;
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, obs::CompareOptions{});
+  const obs::CompareReport report = Compare(baseline, latest);
   EXPECT_TRUE(report.ok);
   ASSERT_EQ(report.only_in_baseline.size(), 1u);
   ASSERT_EQ(report.only_in_latest.size(), 1u);

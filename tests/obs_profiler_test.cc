@@ -47,6 +47,17 @@ void BusyRound() {
   });
 }
 
+constexpr char kFramedSpan[] = "profiler_test_framed";
+
+// Burns CPU with a frame pointer set up (taking the frame address forces
+// one), so RBP holds a valid chain a frame walker would follow into the
+// caller.
+__attribute__((noinline)) void SpinWithFramePointer() {
+  volatile uintptr_t frame =
+      reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+  for (size_t i = 0; i < 400000; ++i) frame = frame + i % 3;
+}
+
 // Runs busy rounds until at least one sample has attributed to kBusySpan.
 // Sanitizers defer async signals to safe points and CI machines stall, so
 // this loops against a generous wall-clock deadline rather than assuming
@@ -102,6 +113,8 @@ obs::BenchRun MakeRun(const std::string& sha, double graph_seconds,
   run.peak_rss_bytes = 1u << 30;
   run.stage_seconds["graph_build@4"] = graph_seconds;
   run.stage_seconds["gbdt_fit@4"] = gbdt_seconds;
+  // Inside the fixed 0.38 s ceiling, so only the gate under test can fail.
+  run.stage_seconds["random_forest_fit@1"] = 0.30;
   return run;
 }
 
@@ -201,6 +214,39 @@ TEST_F(ObsProfilerTest, CollapsedStackLinesParse) {
   ASSERT_TRUE(written.ok());
   EXPECT_EQ(written.value(), collapsed);
   std::remove(path.c_str());
+}
+
+// A sample is the span chain plus the interrupted PC, never caller frames:
+// even where RBP holds a walkable frame chain, each collapsed stack of the
+// framed span is exactly "span;symbol".
+TEST_F(ObsProfilerTest, SamplesRecordOnlyTheInterruptedPc) {
+  ASSERT_TRUE(obs::StartProfiler(997).ok());
+  uint64_t samples = 0;
+  obs::WallTimer timer;
+  while (samples < 20 && timer.ElapsedSeconds() < 60.0) {
+    {
+      obs::Span span(kFramedSpan);
+      SpinWithFramePointer();
+    }
+    const std::map<std::string, uint64_t> counts =
+        obs::SpanProfileSampleCounts();
+    const auto it = counts.find(kFramedSpan);
+    if (it != counts.end()) samples = it->second;
+  }
+  ASSERT_TRUE(obs::StopProfiler().ok());
+  ASSERT_GT(samples, 0u);
+
+  uint64_t checked = 0;
+  for (const std::string& line : Split(obs::CollapsedStacks(), '\n')) {
+    if (!StartsWith(line, std::string(kFramedSpan) + ";")) continue;
+    const size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    EXPECT_EQ(Split(line.substr(0, space), ';').size(), 2u) << line;
+    uint64_t count = 0;
+    ASSERT_TRUE(ParseUint64(line.substr(space + 1), &count)) << line;
+    checked += count;
+  }
+  EXPECT_EQ(checked, samples);
 }
 
 TEST_F(ObsProfilerTest, ResetProfileClearsAggregates) {
@@ -412,12 +458,8 @@ TEST_F(ObsProfilerTest, CompareToleratesRunsWithoutCounterFields) {
   latest.stage_counters["graph_build"] =
       MakeStageTotals(200000000, 400000000, 5000000, 250000);
 
-  obs::CompareOptions options;
-  options.min_ipc_ratio = 0.8;
-  options.max_cache_miss_ratio = 1.5;
-  const obs::CompareReport report =
-      obs::CompareBenchRuns(baseline, latest, options);
-  EXPECT_TRUE(report.ok);
+  const obs::CompareReport report = obs::CompareHistory({baseline, latest});
+  EXPECT_TRUE(report.ok) << report.Render();
   EXPECT_TRUE(report.counters.empty());
   bool noted = false;
   for (const std::string& note : report.notes) {
@@ -448,33 +490,34 @@ TEST_F(ObsProfilerTest, CompareFlagsIpcAndCacheMissRegressions) {
       MakeStageTotals(200000000, 400000000, 10000000, 500000);  // IPC 2.0
   obs::BenchRun latest = MakeRun("def5678", 2.0, 4.0);
   latest.stage_counters["graph_build"] =
-      MakeStageTotals(200000000, 200000000, 10000000, 500000);  // IPC 1.0
+      MakeStageTotals(200000000, 260000000, 10000000, 500000);  // IPC 1.3
 
-  obs::CompareOptions options;
-  options.min_ipc_ratio = 0.8;  // 1.0/2.0 = 0.5 < 0.8 -> regression
-  obs::CompareReport report = obs::CompareBenchRuns(baseline, latest, options);
+  // 1.3 / 2.0 = 0.65x the baseline IPC, under the 0.70 floor.
+  obs::CompareReport report = obs::CompareHistory({baseline, latest});
   EXPECT_FALSE(report.ok);
   ASSERT_EQ(report.counters.size(), 1u);
   EXPECT_TRUE(report.counters[0].regressed);
-  EXPECT_DOUBLE_EQ(report.counters[0].ipc_ratio, 0.5);
+  EXPECT_NEAR(report.counters[0].ipc_ratio, 0.65, 1e-12);
   EXPECT_NE(report.Render().find("graph_build"), std::string::npos);
 
-  // Same counts pass a looser threshold.
-  options.min_ipc_ratio = 0.4;
-  report = obs::CompareBenchRuns(baseline, latest, options);
+  // 0.75x passes.
+  latest.stage_counters["graph_build"] =
+      MakeStageTotals(200000000, 300000000, 10000000, 500000);
+  report = obs::CompareHistory({baseline, latest});
   EXPECT_TRUE(report.ok) << report.Render();
 
-  // Cache-miss-rate gate: 3x the baseline miss rate against a 1.5x cap.
-  obs::BenchRun thrashing = MakeRun("0123abc", 2.0, 4.0);
-  thrashing.stage_counters["graph_build"] =
-      MakeStageTotals(200000000, 400000000, 10000000, 1500000);
-  options = obs::CompareOptions{};
-  options.max_cache_miss_ratio = 1.5;
-  report = obs::CompareBenchRuns(baseline, thrashing, options);
+  // Cache-miss-rate gate: 2.1x the baseline miss rate fails, 1.9x passes.
+  latest.stage_counters["graph_build"] =
+      MakeStageTotals(200000000, 400000000, 10000000, 1050000);
+  report = obs::CompareHistory({baseline, latest});
   EXPECT_FALSE(report.ok);
   ASSERT_EQ(report.counters.size(), 1u);
   EXPECT_TRUE(report.counters[0].regressed);
-  EXPECT_DOUBLE_EQ(report.counters[0].miss_ratio, 3.0);
+  EXPECT_NEAR(report.counters[0].miss_ratio, 2.1, 1e-12);
+  latest.stage_counters["graph_build"] =
+      MakeStageTotals(200000000, 400000000, 10000000, 950000);
+  report = obs::CompareHistory({baseline, latest});
+  EXPECT_TRUE(report.ok) << report.Render();
 
   // Stages under the cycle noise floor are skipped, not judged.
   obs::BenchRun tiny_baseline = MakeRun("abc1234", 2.0, 4.0);
@@ -483,27 +526,11 @@ TEST_F(ObsProfilerTest, CompareFlagsIpcAndCacheMissRegressions) {
   obs::BenchRun tiny_latest = MakeRun("def5678", 2.0, 4.0);
   tiny_latest.stage_counters["graph_build"] =
       MakeStageTotals(1000, 500, 100, 99);
-  options = obs::CompareOptions{};
-  options.min_ipc_ratio = 0.8;
-  options.max_cache_miss_ratio = 1.5;
-  report = obs::CompareBenchRuns(tiny_baseline, tiny_latest, options);
+  report = obs::CompareHistory({tiny_baseline, tiny_latest});
   EXPECT_TRUE(report.ok) << report.Render();
   ASSERT_EQ(report.counters.size(), 1u);
   EXPECT_TRUE(report.counters[0].skipped_below_floor);
   EXPECT_FALSE(report.counters[0].regressed);
-}
-
-// The counter gates must not engage (or note anything) when the caller
-// never asked for them: default options against counter-less runs.
-TEST_F(ObsProfilerTest, CounterGatesSilentWhenNotRequested) {
-  const obs::BenchRun baseline = MakeRun("abc1234", 2.0, 4.0);
-  const obs::BenchRun latest = MakeRun("def5678", 2.05, 4.05);
-  const obs::CompareReport report = obs::CompareBenchRuns(baseline, latest);
-  EXPECT_TRUE(report.ok);
-  EXPECT_TRUE(report.counters.empty());
-  for (const std::string& note : report.notes) {
-    EXPECT_EQ(note.find("counter"), std::string::npos) << note;
-  }
 }
 
 TEST_F(ObsProfilerTest, ChromeTraceCarriesProfilerSamples) {

@@ -67,6 +67,7 @@
 //   TG_EVENT_LOG=F  route every log line, slow span close, and sweep
 //                   heartbeat event to F as structured JSON lines
 //                   (TG_EVENT_LOG_RATE / TG_EVENT_LOG_SPAN_MS tune shedding)
+#include <algorithm>
 #include <cctype>
 #include <climits>
 #include <cmath>
@@ -74,6 +75,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -721,6 +723,22 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   CliArgs& args = parsed.value();
+  // Every key read through Get/Flag or ParseNumericOptions. A misspelled
+  // option must not pass silently: the run would drop the setting.
+  static const char* const kKnown[] = {
+      "checkpoint",    "features",  "learner",     "lease-sec",
+      "log-level",     "logme",     "mem",         "metrics",
+      "modality",      "models",    "no-degrade",  "out",
+      "perf-counters", "predictor", "profile",     "profile-out",
+      "rss-sample",    "target",    "telemetry-port", "top",
+      "trace",         "worker-id", "workdir"};
+  for (const auto& [key, value] : args.options) {
+    if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
+        std::end(kKnown)) {
+      std::fprintf(stderr, "tg_cli: unknown option --%s\n", key.c_str());
+      return 2;
+    }
+  }
   if (args.command == "profile" && args.Get("target", "").empty()) {
     args.options["target"] = "0";
   }
@@ -803,9 +821,7 @@ int Run(int argc, char** argv) {
                 collapsed_path.c_str());
     const std::string report = obs::ProfileReportTable(20);
     if (!report.empty()) {
-      std::printf("\nhottest symbols (self = leaf frame, total = anywhere "
-                  "in stack):\n%s",
-                  report.c_str());
+      std::printf("\nhottest symbols (interrupted PC):\n%s", report.c_str());
     }
     const std::map<std::string, uint64_t> span_samples =
         obs::SpanProfileSampleCounts();
