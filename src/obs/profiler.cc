@@ -20,7 +20,13 @@
 
 #if defined(__linux__)
 #include <dlfcn.h>
+#include <elf.h>
+#include <fcntl.h>
+#include <link.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <ucontext.h>
+#include <unistd.h>
 #include <cxxabi.h>
 #endif
 
@@ -134,6 +140,14 @@ void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* uc_void) {
 
 // --- Aggregates (off-signal) ------------------------------------------------
 
+// One STT_FUNC entry of an object's .symtab: [addr, addr + size) in the
+// object's link-time addresses.
+struct FunctionSymbol {
+  uint64_t addr = 0;
+  uint64_t size = 0;
+  std::string name;
+};
+
 struct ProfileAggregates {
   std::mutex mu;
   uint64_t samples = 0;
@@ -142,6 +156,9 @@ struct ProfileAggregates {
   std::map<uint64_t, uint64_t> span_id_counts;
   std::map<std::string, uint64_t> symbols;  // interrupted-PC symbol
   std::map<uintptr_t, std::string> symbol_cache;
+  // .symtab of each object that held a PC dladdr could not name, loaded on
+  // the first such PC (empty when the file is stripped or unreadable).
+  std::map<std::string, std::vector<FunctionSymbol>> function_tables;
   std::vector<uint64_t> sample_times_ns;
 };
 
@@ -150,25 +167,131 @@ ProfileAggregates& Aggregates() {
   return *agg;
 }
 
-std::string SymbolizePc(uintptr_t pc,
-                        std::map<uintptr_t, std::string>* cache) {
-  const auto it = cache->find(pc);
-  if (it != cache->end()) return it->second;
+#if defined(__linux__)
+
+std::string Demangle(const char* symbol) {
+  int status = 0;
+  char* demangled = abi::__cxa_demangle(symbol, nullptr, nullptr, &status);
+  std::string name = status == 0 && demangled != nullptr ? demangled : symbol;
+  std::free(demangled);
+  return name;
+}
+
+// The function symbols (mangled names) of the .symtab of a 64-bit ELF
+// image of `size` bytes, sorted by address. A stripped or malformed image
+// yields an empty or partial table, never a crash: every offset, count and
+// string index read from it is range-checked, and every struct is copied
+// out, so no read is out of bounds or misaligned.
+std::vector<FunctionSymbol> FunctionSymbols(const char* file, uint64_t size) {
+  std::vector<FunctionSymbol> table;
+  // `count` entries of `entry` bytes at `offset` lie inside the image.
+  const auto fits = [size](uint64_t offset, uint64_t count, uint64_t entry) {
+    return offset <= size && count <= (size - offset) / entry;
+  };
+  Elf64_Ehdr ehdr{};
+  if (fits(0, 1, sizeof(ehdr))) std::memcpy(&ehdr, file, sizeof(ehdr));
+  if (std::memcmp(ehdr.e_ident, ELFMAG, SELFMAG) != 0 ||
+      ehdr.e_ident[EI_CLASS] != ELFCLASS64 ||
+      ehdr.e_shentsize != sizeof(Elf64_Shdr) ||
+      !fits(ehdr.e_shoff, ehdr.e_shnum, sizeof(Elf64_Shdr))) {
+    return table;
+  }
+  const auto section_at = [&](size_t i) {
+    Elf64_Shdr section;
+    std::memcpy(&section, file + ehdr.e_shoff + i * sizeof(section),
+                sizeof(section));
+    return section;
+  };
+  for (size_t i = 0; i < ehdr.e_shnum; ++i) {
+    const Elf64_Shdr symtab = section_at(i);
+    if (symtab.sh_type != SHT_SYMTAB || symtab.sh_link >= ehdr.e_shnum) {
+      continue;
+    }
+    const Elf64_Shdr strtab = section_at(symtab.sh_link);
+    const uint64_t count = symtab.sh_size / sizeof(Elf64_Sym);
+    if (!fits(symtab.sh_offset, count, sizeof(Elf64_Sym)) ||
+        !fits(strtab.sh_offset, strtab.sh_size, 1)) {
+      continue;
+    }
+    for (uint64_t k = 0; k < count; ++k) {
+      Elf64_Sym sym;
+      std::memcpy(&sym, file + symtab.sh_offset + k * sizeof(sym),
+                  sizeof(sym));
+      if (ELF64_ST_TYPE(sym.st_info) != STT_FUNC || sym.st_size == 0 ||
+          sym.st_shndx == SHN_UNDEF || sym.st_name >= strtab.sh_size) {
+        continue;
+      }
+      const char* name = file + strtab.sh_offset + sym.st_name;
+      const size_t max_len = strtab.sh_size - sym.st_name;
+      const size_t len = strnlen(name, max_len);
+      if (len == 0 || len == max_len) continue;  // empty or unterminated
+      table.push_back({sym.st_value, sym.st_size, std::string(name, len)});
+    }
+  }
+  std::sort(table.begin(), table.end(),
+            [](const FunctionSymbol& a, const FunctionSymbol& b) {
+              return a.addr < b.addr;
+            });
+  return table;
+}
+
+// FunctionSymbols of the file at `path`; empty when it cannot be mapped.
+std::vector<FunctionSymbol> LoadFunctionTable(const char* path) {
+  const int fd = open(path, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return {};
+  struct stat st;
+  void* map = MAP_FAILED;
+  if (fstat(fd, &st) == 0 && st.st_size > 0) {
+    map = mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
+               MAP_PRIVATE, fd, 0);
+  }
+  close(fd);
+  if (map == MAP_FAILED) return {};
+  const size_t size = static_cast<size_t>(st.st_size);
+  const auto unmap = [size](void* p) { munmap(p, size); };
+  const std::unique_ptr<void, decltype(unmap)> mapping(map, unmap);
+  return FunctionSymbols(static_cast<const char*>(map), size);
+}
+
+// The .symtab function holding `pc`, for PCs in internal-linkage functions,
+// which dladdr cannot name because they are absent from .dynsym. `object`
+// is the loaded object holding `pc`; l_addr is its load bias, so
+// `pc - l_addr` is the link-time address (pc - dli_fbase for a PIE or a
+// shared library).
+std::string SymtabName(
+    uintptr_t pc, const Dl_info& info, const link_map* object,
+    std::map<std::string, std::vector<FunctionSymbol>>* tables) {
+  if (info.dli_fname == nullptr || object == nullptr) return "";
+  auto it = tables->find(info.dli_fname);
+  if (it == tables->end()) {
+    it = tables->emplace(info.dli_fname, LoadFunctionTable(info.dli_fname))
+             .first;
+  }
+  const std::vector<FunctionSymbol>& table = it->second;
+  const uint64_t addr = static_cast<uint64_t>(pc - object->l_addr);
+  const auto after = std::upper_bound(
+      table.begin(), table.end(), addr,
+      [](uint64_t a, const FunctionSymbol& f) { return a < f.addr; });
+  if (after == table.begin()) return "";
+  const FunctionSymbol& f = *std::prev(after);
+  return addr - f.addr < f.size ? Demangle(f.name.c_str()) : "";
+}
+
+#endif  // __linux__
+
+std::string SymbolizePc(uintptr_t pc, ProfileAggregates* agg) {
+  const auto it = agg->symbol_cache.find(pc);
+  if (it != agg->symbol_cache.end()) return it->second;
   std::string name;
 #if defined(__linux__)
   Dl_info info;
   std::memset(&info, 0, sizeof(info));
-  if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
-      info.dli_sname != nullptr) {
-    int demangle_status = 0;
-    char* demangled = abi::__cxa_demangle(info.dli_sname, nullptr, nullptr,
-                                          &demangle_status);
-    if (demangle_status == 0 && demangled != nullptr) {
-      name = demangled;
-    } else {
-      name = info.dli_sname;
-    }
-    std::free(demangled);
+  link_map* object = nullptr;
+  if (dladdr1(reinterpret_cast<void*>(pc), &info,
+              reinterpret_cast<void**>(&object), RTLD_DL_LINKMAP) != 0) {
+    name = info.dli_sname != nullptr
+               ? Demangle(info.dli_sname)
+               : SymtabName(pc, info, object, &agg->function_tables);
   }
 #endif
   if (name.empty()) {
@@ -178,7 +301,7 @@ std::string SymbolizePc(uintptr_t pc,
   }
   // Collapsed-stack separators must not appear inside a frame name.
   std::replace(name.begin(), name.end(), ';', ',');
-  (*cache)[pc] = name;
+  agg->symbol_cache[pc] = name;
   return name;
 }
 
@@ -199,7 +322,7 @@ void AggregateSample(const RawSample& s, ProfileAggregates* agg) {
     key += s.names[i - 1];
   }
   if (s.pc != 0) {
-    const std::string symbol = SymbolizePc(s.pc, &agg->symbol_cache);
+    const std::string symbol = SymbolizePc(s.pc, agg);
     if (!key.empty()) key += ';';
     key += symbol;
     agg->symbols[symbol] += 1;

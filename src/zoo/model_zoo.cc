@@ -14,15 +14,21 @@
 namespace tg::zoo {
 namespace {
 
-// One hit/miss counter pair covers all five transferability-score caches
-// (LogME/LEEP/NCE/PARC/H-score): they share the zoo-wide memoization policy
-// and the interesting signal is whether *any* score was recomputed.
+// One hit/miss counter pair covers both transferability-score caches (LogME
+// alone, and the LEEP/NCE/PARC/H-score set): they share the zoo-wide
+// memoization policy and the interesting signal is whether *any* score was
+// recomputed. A miss on the set counts once for its four scores.
 void CountScoreCache(bool hit) {
   static obs::Counter& hits =
       obs::MetricsRegistry::Instance().GetCounter("zoo.score_cache.hit");
   static obs::Counter& misses =
       obs::MetricsRegistry::Instance().GetCounter("zoo.score_cache.miss");
   (hit ? hits : misses).Increment();
+}
+
+double ScoreOrDie(const Result<double>& score) {
+  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
+  return score.value();
 }
 
 void CountEmbeddingCache(bool hit) {
@@ -146,60 +152,18 @@ double ModelZoo::LogMe(size_t model, size_t dataset) {
   CountScoreCache(false);
   const DatasetSamples& samples = world_->Samples(dataset);
   const Matrix features = world_->ExtractFeatures(model, dataset);
-  Result<double> score =
-      LogMeScore(features, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
+  const double score = ScoreOrDie(
+      LogMeScore(features, samples.labels, samples.num_classes));
   std::lock_guard<std::mutex> lock(cache_mu_);
-  logme_cache_.emplace(key, score.value());
-  return score.value();
+  return logme_cache_.emplace(key, score).first->second;
 }
 
-double ModelZoo::Leep(size_t model, size_t dataset) {
+ModelZoo::BaselineScores ModelZoo::Baselines(size_t model, size_t dataset) {
   const uint64_t key = PairKey(model, dataset);
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = leep_cache_.find(key);
-    if (it != leep_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
-  }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const Matrix probs = world_->SourceProbabilities(model, dataset);
-  Result<double> score = LeepScore(probs, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  leep_cache_.emplace(key, score.value());
-  return score.value();
-}
-
-double ModelZoo::Nce(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = nce_cache_.find(key);
-    if (it != nce_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
-  }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const std::vector<int> source = world_->SourceHardLabels(model, dataset);
-  Result<double> score = NceScore(source, samples.labels);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  nce_cache_.emplace(key, score.value());
-  return score.value();
-}
-
-double ModelZoo::Parc(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = parc_cache_.find(key);
-    if (it != parc_cache_.end()) {
+    auto it = baseline_cache_.find(key);
+    if (it != baseline_cache_.end()) {
       CountScoreCache(true);
       return it->second;
     }
@@ -207,32 +171,17 @@ double ModelZoo::Parc(size_t model, size_t dataset) {
   CountScoreCache(false);
   const DatasetSamples& samples = world_->Samples(dataset);
   const Matrix features = world_->ExtractFeatures(model, dataset);
-  Result<double> score =
-      ParcScore(features, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
+  const Matrix probs = world_->SourceProbabilities(model, features);
+  BaselineScores scores;
+  scores.leep =
+      ScoreOrDie(LeepScore(probs, samples.labels, samples.num_classes));
+  scores.nce = ScoreOrDie(NceScore(SourceHardLabels(probs), samples.labels));
+  scores.parc =
+      ScoreOrDie(ParcScore(features, samples.labels, samples.num_classes));
+  scores.hscore =
+      ScoreOrDie(HScore(features, samples.labels, samples.num_classes));
   std::lock_guard<std::mutex> lock(cache_mu_);
-  parc_cache_.emplace(key, score.value());
-  return score.value();
-}
-
-double ModelZoo::HScoreOf(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = hscore_cache_.find(key);
-    if (it != hscore_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
-  }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const Matrix features = world_->ExtractFeatures(model, dataset);
-  Result<double> score = HScore(features, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  hscore_cache_.emplace(key, score.value());
-  return score.value();
+  return baseline_cache_.emplace(key, scores).first->second;
 }
 
 }  // namespace tg::zoo

@@ -70,15 +70,34 @@ class ModelZoo {
 
   // --- Transferability scores (cached per pair) ---
   double LogMe(size_t model, size_t dataset);
-  double Leep(size_t model, size_t dataset);
-  double Nce(size_t model, size_t dataset);
-  double Parc(size_t model, size_t dataset);
-  double HScoreOf(size_t model, size_t dataset);
+  // LEEP, NCE, PARC and H-score of a pair are scored together, from one
+  // feature extraction, when the first of them is asked for.
+  double Leep(size_t model, size_t dataset) {
+    return Baselines(model, dataset).leep;
+  }
+  double Nce(size_t model, size_t dataset) {
+    return Baselines(model, dataset).nce;
+  }
+  double Parc(size_t model, size_t dataset) {
+    return Baselines(model, dataset).parc;
+  }
+  double HScoreOf(size_t model, size_t dataset) {
+    return Baselines(model, dataset).hscore;
+  }
 
   SyntheticWorld& world() { return *world_; }
   const FineTuneSimulator& simulator() const { return *simulator_; }
 
  private:
+  struct BaselineScores {
+    double leep = 0.0;
+    double nce = 0.0;
+    double parc = 0.0;
+    double hscore = 0.0;
+  };
+
+  BaselineScores Baselines(size_t model, size_t dataset);
+
   uint64_t PairKey(size_t model, size_t dataset) const {
     return (static_cast<uint64_t>(model) << 32) |
            static_cast<uint64_t>(dataset);
@@ -96,10 +115,7 @@ class ModelZoo {
   std::unordered_map<size_t, std::vector<double>> domain_embeddings_;
   std::unordered_map<size_t, std::vector<double>> task2vec_embeddings_;
   std::unordered_map<uint64_t, double> logme_cache_;
-  std::unordered_map<uint64_t, double> leep_cache_;
-  std::unordered_map<uint64_t, double> nce_cache_;
-  std::unordered_map<uint64_t, double> parc_cache_;
-  std::unordered_map<uint64_t, double> hscore_cache_;
+  std::unordered_map<uint64_t, BaselineScores> baseline_cache_;
 };
 
 }  // namespace tg::zoo

@@ -272,18 +272,26 @@ Matrix SyntheticWorld::ExtractFromLatent(const ModelParams& params,
   Rng noise(config_.seed ^ (0xD6E8FEB86659FD93ULL * (noise_stream + 3)));
   Matrix features(latent.rows(), config_.feature_dim);
   std::vector<double> scaled(config_.latent_dim);
+  std::vector<double> acc(config_.feature_dim);
   for (size_t i = 0; i < latent.rows(); ++i) {
     for (size_t l = 0; l < config_.latent_dim; ++l) {
       scaled[l] = params.skill[l] * latent(i, l) *
                   std::sqrt(static_cast<double>(config_.latent_dim));
     }
-    for (size_t f = 0; f < config_.feature_dim; ++f) {
-      double acc = params.bias[f];
-      for (size_t l = 0; l < config_.latent_dim; ++l) {
-        acc += scaled[l] * params.projection(l, f);
+    // f innermost walks projection rows contiguously with independent adds;
+    // each acc[f] starts at bias[f] and adds the l terms in ascending order,
+    // so every feature is bit-equal to its own dot product.
+    acc = params.bias;
+    for (size_t l = 0; l < config_.latent_dim; ++l) {
+      const double s = scaled[l];
+      const double* projection = params.projection.RowPtr(l);
+      for (size_t f = 0; f < config_.feature_dim; ++f) {
+        acc[f] += s * projection[f];
       }
+    }
+    for (size_t f = 0; f < config_.feature_dim; ++f) {
       features(i, f) =
-          std::tanh(acc) + params.feature_noise * noise.NextGaussian();
+          std::tanh(acc[f]) + params.feature_noise * noise.NextGaussian();
     }
   }
   return features;
@@ -296,8 +304,10 @@ Matrix SyntheticWorld::ExtractFeatures(size_t model, size_t dataset) {
                            model * 131071 + dataset);
 }
 
-Matrix SyntheticWorld::SourceProbabilities(size_t model, size_t dataset) {
+Matrix SyntheticWorld::SourceProbabilities(size_t model,
+                                           const Matrix& features) const {
   TG_CHECK_LT(model, model_params_.size());
+  TG_CHECK_EQ(features.cols(), config_.feature_dim);
   const ModelParams& params = model_params_[model];
   const size_t source = catalog_->models[model].source_dataset;
   const int k = static_cast<int>(std::min<size_t>(
@@ -319,7 +329,6 @@ Matrix SyntheticWorld::SourceProbabilities(size_t model, size_t dataset) {
     }
   }
 
-  const Matrix features = ExtractFeatures(model, dataset);
   Matrix probs(features.rows(), static_cast<size_t>(k));
   const double temperature = 0.5 * static_cast<double>(config_.feature_dim);
   for (size_t i = 0; i < features.rows(); ++i) {
@@ -346,9 +355,7 @@ Matrix SyntheticWorld::SourceProbabilities(size_t model, size_t dataset) {
   return probs;
 }
 
-std::vector<int> SyntheticWorld::SourceHardLabels(size_t model,
-                                                  size_t dataset) {
-  const Matrix probs = SourceProbabilities(model, dataset);
+std::vector<int> SourceHardLabels(const Matrix& probs) {
   std::vector<int> labels(probs.rows());
   for (size_t i = 0; i < probs.rows(); ++i) {
     size_t best = 0;

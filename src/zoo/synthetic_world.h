@@ -92,11 +92,9 @@ class SyntheticWorld {
   const DatasetSamples& Samples(size_t dataset);
   // Model-extracted features on the dataset's samples: n x feature_dim.
   Matrix ExtractFeatures(size_t model, size_t dataset);
-  // Soft predictions over the model's source classes on the dataset's
-  // samples (for LEEP): n x K, rows sum to 1.
-  Matrix SourceProbabilities(size_t model, size_t dataset);
-  // Hard source-class assignments (argmax of the above; for NCE).
-  std::vector<int> SourceHardLabels(size_t model, size_t dataset);
+  // Soft predictions over the model's source classes for features this
+  // model extracted (ExtractFeatures rows; for LEEP): n x K, rows sum to 1.
+  Matrix SourceProbabilities(size_t model, const Matrix& features) const;
 
  private:
   struct ModelParams {
@@ -128,6 +126,10 @@ class SyntheticWorld {
   std::vector<bool> samples_ready_;
   std::vector<DatasetSamples> samples_cache_;
 };
+
+// Hard source-class assignments: the first largest entry of each row of
+// SourceProbabilities (for NCE).
+std::vector<int> SourceHardLabels(const Matrix& probs);
 
 }  // namespace tg::zoo
 

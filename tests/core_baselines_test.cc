@@ -1,22 +1,52 @@
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
 #include "numeric/stats.h"
+#include "util/thread_pool.h"
 
 namespace tg::core {
 namespace {
 
+constexpr EstimatorBaseline kAllEstimators[] = {
+    EstimatorBaseline::kLogMe, EstimatorBaseline::kLeep,
+    EstimatorBaseline::kNce, EstimatorBaseline::kParc,
+    EstimatorBaseline::kHScore};
+
+// FNV-1a over the bit patterns of the scores, as 16 hex digits.
+std::string BitsHash(const std::vector<double>& scores) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (double v : scores) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(v));
+    for (unsigned char b : bytes) {
+      hash ^= b;
+      hash *= 1099511628211ULL;
+    }
+  }
+  char hex[20];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, hash);
+  return hex;
+}
+
+zoo::ModelZooConfig FixtureConfig() {
+  zoo::ModelZooConfig config;
+  config.catalog.num_image_models = 48;
+  config.catalog.num_text_models = 24;
+  config.world.max_samples_per_dataset = 80;
+  return config;
+}
+
 class BaselinesTest : public ::testing::Test {
  protected:
   BaselinesTest() {
-    zoo::ModelZooConfig config;
-    config.catalog.num_image_models = 48;
-    config.catalog.num_text_models = 24;
-    config.world.max_samples_per_dataset = 80;
-    zoo_ = std::make_unique<zoo::ModelZoo>(config);
+    zoo_ = std::make_unique<zoo::ModelZoo>(FixtureConfig());
     target_ = zoo_->EvaluationTargets(zoo::Modality::kImage)[0];
   }
 
@@ -83,6 +113,82 @@ TEST_F(BaselinesTest, WorksOnTextModality) {
       zoo_.get(), text_target, EstimatorBaseline::kLogMe);
   EXPECT_EQ(eval.predicted.size(), 24u);
   EXPECT_TRUE(std::isfinite(eval.pearson));
+}
+
+// Pins the exact bits of every estimator's scores on an image and a text
+// target, so restructuring how the zoo computes or caches them cannot move
+// a single score unnoticed.
+TEST_F(BaselinesTest, EstimatorScoresPinned) {
+  const size_t text_target =
+      zoo_->EvaluationTargets(zoo::Modality::kText)[0];
+  const struct {
+    size_t target;
+    EstimatorBaseline baseline;
+    const char* hash;
+  } kPinned[] = {
+      {target_, EstimatorBaseline::kLogMe, "69615c65b333e449"},
+      {target_, EstimatorBaseline::kLeep, "d0504f024f451376"},
+      {target_, EstimatorBaseline::kNce, "89bf4fad89cdf0d7"},
+      {target_, EstimatorBaseline::kParc, "7446f65aa29cdf05"},
+      {target_, EstimatorBaseline::kHScore, "cc2ba9f09c1a7ec9"},
+      {text_target, EstimatorBaseline::kLogMe, "8e8bd1badefc5586"},
+      {text_target, EstimatorBaseline::kLeep, "99631243cfbbceac"},
+      {text_target, EstimatorBaseline::kNce, "517f0026aed91f1b"},
+      {text_target, EstimatorBaseline::kParc, "0d8551145d5af322"},
+      {text_target, EstimatorBaseline::kHScore, "02491376614bf747"},
+  };
+  for (const auto& pin : kPinned) {
+    EXPECT_EQ(BitsHash(EvaluateEstimatorBaseline(zoo_.get(), pin.target,
+                                                 pin.baseline)
+                           .predicted),
+              pin.hash)
+        << EstimatorBaselineName(pin.baseline) << " on target "
+        << pin.target;
+  }
+}
+
+// A score is the same whichever estimator of its (model, dataset) pair was
+// asked for first.
+TEST_F(BaselinesTest, ScoresDoNotDependOnCallOrder) {
+  std::vector<std::vector<double>> in_order;
+  for (EstimatorBaseline baseline : kAllEstimators) {
+    in_order.push_back(
+        EvaluateEstimatorBaseline(zoo_.get(), target_, baseline).predicted);
+  }
+  zoo::ModelZoo fresh(FixtureConfig());
+  for (size_t e : {3, 4, 1, 2, 0}) {  // PARC, H-score, LEEP, NCE, LogME
+    EXPECT_EQ(BitsHash(EvaluateEstimatorBaseline(&fresh, target_,
+                                                 kAllEstimators[e])
+                           .predicted),
+              BitsHash(in_order[e]))
+        << EstimatorBaselineName(kAllEstimators[e]);
+  }
+}
+
+// Concurrent misses on a cold zoo agree with serial ones (the TSan pass
+// runs this with real contention on the score cache).
+TEST_F(BaselinesTest, ConcurrentMissesMatchSerialScores) {
+  const std::vector<size_t> models =
+      zoo_->ModelsOfModality(zoo::Modality::kImage);
+  std::vector<double> parc(models.size());
+  std::vector<double> leep(models.size());
+  for (size_t i = 0; i < models.size(); ++i) {
+    parc[i] = zoo_->Parc(models[i], target_);
+    leep[i] = zoo_->Leep(models[i], target_);
+  }
+  zoo::ModelZoo cold(FixtureConfig());
+  std::vector<double> parc_par(models.size());
+  std::vector<double> leep_par(models.size());
+  SetThreadCount(3);
+  ParallelFor(0, models.size(), 1, [&](size_t begin, size_t end, size_t) {
+    for (size_t i = begin; i < end; ++i) {
+      parc_par[i] = cold.Parc(models[i], target_);
+      leep_par[i] = cold.Leep(models[i], target_);
+    }
+  });
+  SetThreadCount(0);
+  EXPECT_EQ(BitsHash(parc_par), BitsHash(parc));
+  EXPECT_EQ(BitsHash(leep_par), BitsHash(leep));
 }
 
 }  // namespace

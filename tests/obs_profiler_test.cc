@@ -58,6 +58,26 @@ __attribute__((noinline)) void SpinWithFramePointer() {
   for (size_t i = 0; i < 400000; ++i) frame = frame + i % 3;
 }
 
+// Profiles SpinWithFramePointer inside kFramedSpan at 997 Hz until 20
+// samples attribute to the span (or a 60 s deadline passes); returns them.
+uint64_t SampleFramedSpin() {
+  if (!obs::StartProfiler(997).ok()) return 0;
+  uint64_t samples = 0;
+  obs::WallTimer timer;
+  while (samples < 20 && timer.ElapsedSeconds() < 60.0) {
+    {
+      obs::Span span(kFramedSpan);
+      SpinWithFramePointer();
+    }
+    const std::map<std::string, uint64_t> counts =
+        obs::SpanProfileSampleCounts();
+    const auto it = counts.find(kFramedSpan);
+    if (it != counts.end()) samples = it->second;
+  }
+  if (!obs::StopProfiler().ok()) return 0;
+  return samples;
+}
+
 // Runs busy rounds until at least one sample has attributed to kBusySpan.
 // Sanitizers defer async signals to safe points and CI machines stall, so
 // this loops against a generous wall-clock deadline rather than assuming
@@ -220,20 +240,7 @@ TEST_F(ObsProfilerTest, CollapsedStackLinesParse) {
 // even where RBP holds a walkable frame chain, each collapsed stack of the
 // framed span is exactly "span;symbol".
 TEST_F(ObsProfilerTest, SamplesRecordOnlyTheInterruptedPc) {
-  ASSERT_TRUE(obs::StartProfiler(997).ok());
-  uint64_t samples = 0;
-  obs::WallTimer timer;
-  while (samples < 20 && timer.ElapsedSeconds() < 60.0) {
-    {
-      obs::Span span(kFramedSpan);
-      SpinWithFramePointer();
-    }
-    const std::map<std::string, uint64_t> counts =
-        obs::SpanProfileSampleCounts();
-    const auto it = counts.find(kFramedSpan);
-    if (it != counts.end()) samples = it->second;
-  }
-  ASSERT_TRUE(obs::StopProfiler().ok());
+  const uint64_t samples = SampleFramedSpin();
   ASSERT_GT(samples, 0u);
 
   uint64_t checked = 0;
@@ -247,6 +254,26 @@ TEST_F(ObsProfilerTest, SamplesRecordOnlyTheInterruptedPc) {
     checked += count;
   }
   EXPECT_EQ(checked, samples);
+}
+
+// SpinWithFramePointer has internal linkage, so it is absent from .dynsym
+// and only the .symtab lookup can name it; its samples must not fall back
+// to hex addresses.
+TEST_F(ObsProfilerTest, InternalLinkageFunctionsAreNamed) {
+  const uint64_t samples = SampleFramedSpin();
+  ASSERT_GT(samples, 0u);
+  uint64_t named = 0;
+  for (const std::string& line : Split(obs::CollapsedStacks(), '\n')) {
+    if (!StartsWith(line, std::string(kFramedSpan) + ";")) continue;
+    const size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    uint64_t count = 0;
+    ASSERT_TRUE(ParseUint64(line.substr(space + 1), &count)) << line;
+    if (line.find("SpinWithFramePointer") != std::string::npos) {
+      named += count;
+    }
+  }
+  EXPECT_GT(named, 0u) << obs::CollapsedStacks();
 }
 
 TEST_F(ObsProfilerTest, ResetProfileClearsAggregates) {

@@ -184,7 +184,8 @@ TEST_F(WorldTest, HighAffinityModelsGetMoreSeparableFeatures) {
 
 TEST_F(WorldTest, SourceProbabilitiesAreDistributions) {
   const size_t svhn = FindDataset("svhn");
-  Matrix probs = world_->SourceProbabilities(0, svhn);
+  Matrix probs =
+      world_->SourceProbabilities(0, world_->ExtractFeatures(0, svhn));
   EXPECT_EQ(probs.rows(), world_->Samples(svhn).latent.rows());
   for (size_t i = 0; i < probs.rows(); ++i) {
     double total = 0.0;
@@ -198,13 +199,58 @@ TEST_F(WorldTest, SourceProbabilitiesAreDistributions) {
 
 TEST_F(WorldTest, HardLabelsMatchArgmax) {
   const size_t svhn = FindDataset("svhn");
-  Matrix probs = world_->SourceProbabilities(3, svhn);
-  std::vector<int> hard = world_->SourceHardLabels(3, svhn);
+  Matrix probs =
+      world_->SourceProbabilities(3, world_->ExtractFeatures(3, svhn));
+  std::vector<int> hard = SourceHardLabels(probs);
   ASSERT_EQ(hard.size(), probs.rows());
   for (size_t i = 0; i < probs.rows(); ++i) {
     for (size_t z = 0; z < probs.cols(); ++z) {
       EXPECT_LE(probs(i, z), probs(i, static_cast<size_t>(hard[i])) + 1e-12);
     }
+  }
+}
+
+// FNV-1a over the bytes of `values`.
+template <typename T>
+uint64_t BitsHash(const T* values, size_t n) {
+  uint64_t hash = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values);
+  for (size_t i = 0; i < n * sizeof(T); ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// Pins the exact bits of the source probabilities and hard labels, so the
+// extraction and the probability map can be restructured without moving a
+// single LEEP or NCE input.
+TEST_F(WorldTest, SourceProbabilitiesPinned) {
+  const struct {
+    const char* dataset;
+    size_t model;
+    uint64_t probs_hash;
+    uint64_t labels_hash;
+  } kPinned[] = {
+      {"svhn", 0, 0x5d56a18bfaa4008eULL, 0x929a07f36437a0e2ULL},
+      {"svhn", 3, 0x1a5be7b08e9a022dULL, 0x13404841ce63aa92ULL},
+      {"svhn", 17, 0xf09a901db6f279e7ULL, 0x5352319718185af8ULL},
+      {"cifar100", 0, 0xa975784253152905ULL, 0x1642062a3cd007c1ULL},
+      {"cifar100", 3, 0xa57eebc0bd26b71cULL, 0xff697cfd4296f634ULL},
+      {"cifar100", 17, 0x671e20348b7e030cULL, 0x7c9bf4cff666ee0fULL},
+  };
+  for (const auto& pin : kPinned) {
+    const size_t d = FindDataset(pin.dataset);
+    const Matrix probs = world_->SourceProbabilities(
+        pin.model, world_->ExtractFeatures(pin.model, d));
+    ASSERT_EQ(probs.rows(), 150u);
+    ASSERT_EQ(probs.cols(), 12u);
+    const std::vector<int> hard = SourceHardLabels(probs);
+    EXPECT_EQ(BitsHash(probs.data(), probs.rows() * probs.cols()),
+              pin.probs_hash)
+        << pin.dataset << " model " << pin.model;
+    EXPECT_EQ(BitsHash(hard.data(), hard.size()), pin.labels_hash)
+        << pin.dataset << " model " << pin.model;
   }
 }
 

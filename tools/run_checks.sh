@@ -2,8 +2,9 @@
 # Pre-PR gate: Release + ThreadSanitizer builds, both test suites (the TSan
 # pass covers the concurrent allocation tracking in obs_memory_test), an
 # UndefinedBehaviorSanitizer pass over the kernel layer, the
-# transferability estimators, the statistics helpers and the util layer
-# (whose one JSON parser reads every checkpoint, shard and manifest), and
+# transferability estimators and the zoo path that feeds them, the
+# statistics helpers and the util layer (whose one JSON parser reads every
+# checkpoint, shard and manifest), and
 # the chaos and distributed-sweep tests (any UB report fails it), a
 # kernel-backend dispatch gate (kernels_test, autograd_test and gnn_test
 # under TG_ISA=scalar and under the widest host-supported backend, plus a
@@ -73,8 +74,11 @@ else
   # triangular pair loop, the radix rank sort and the JSON parser are the
   # code most exposed to pointer/index arithmetic mistakes, so they get a
   # dedicated UB check even when the full-matrix sanitizer suite is too slow
-  # for the pre-PR loop.
-  UBSAN_KERNEL_TESTS="kernels_test transferability_test stats_test util_test"
+  # for the pre-PR loop. core_baselines_test and zoo_world_test drive the
+  # zoo's shared estimator miss path (extraction, source probabilities,
+  # hard labels, all four estimators) on real zoo data.
+  UBSAN_KERNEL_TESTS="kernels_test transferability_test stats_test util_test
+      core_baselines_test zoo_world_test"
   cmake -B build-ubsan -S . -DTG_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target $UBSAN_KERNEL_TESTS
