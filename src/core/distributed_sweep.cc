@@ -236,8 +236,8 @@ std::string ShardPayloadPrefix(const std::string& fingerprint,
 // State shared between the worker loop and its renewer thread; everything
 // below is guarded by `mu`. The renewer bumps the owned lease's mtime every
 // lease_sec/4 so a live worker is never mistaken for a corpse, and publishes
-// a heartbeat file so operators (and /statusz scrapers on other hosts) can
-// see who is alive and how far along.
+// a heartbeat file so operators on any host sharing the workdir can see who
+// is alive and how far along.
 struct RenewerState {
   std::mutex mu;
   std::condition_variable cv;
@@ -302,8 +302,8 @@ void RenewerLoop(RenewerState* s, const std::string& workdir,
       if (s->lease_path == lease) s->lease_path.clear();
       lock.unlock();
     }
-    // Best-effort telemetry: a failing heartbeat write must never take the
-    // worker down.
+    // Best-effort: a failing heartbeat write must never take the worker
+    // down.
     (void)WriteFileAtomic(heartbeat_path, heartbeat, /*unique_temp=*/true);
     lock.lock();
   }
@@ -676,18 +676,6 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
       &report.tmp_reclaimed));
   TG_RETURN_IF_ERROR(MakeDir(WorkerDir(workdir, worker)));
 
-  static obs::Gauge& claims_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.claims");
-  static obs::Gauge& steals_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.steals");
-  static obs::Gauge& expiries_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.lease_expiries");
-  static obs::Gauge& targets_total_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_total");
-  static obs::Gauge& targets_done_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_done");
-  targets_total_gauge.Set(static_cast<double>(targets.size()));
-
   RenewerState renewer;
   std::thread renewer_thread(RenewerLoop, &renewer, workdir, worker,
                              targets.size(), options.lease_sec);
@@ -764,9 +752,6 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
       (void)ReleaseLeaseToFree(workdir, k, worker);
     }
     update_renewer("", -1);
-    claims_gauge.Set(static_cast<double>(report.claims));
-    steals_gauge.Set(static_cast<double>(report.steals));
-    expiries_gauge.Set(static_cast<double>(report.lease_expiries));
     return on_disk;
   };
 
@@ -795,7 +780,6 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
       if (TryClaimFreeTarget(workdir, k, worker)) {
         owned = true;
         ++report.claims;
-        claims_gauge.Set(static_cast<double>(report.claims));
         obs::EmitEvent("worker_claim", worker,
                        "target " + std::to_string(k));
       } else if (TryStealExpiredLease(workdir, k, worker, options.lease_sec,
@@ -803,8 +787,6 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
         owned = true;
         ++report.steals;
         ++report.lease_expiries;
-        steals_gauge.Set(static_cast<double>(report.steals));
-        expiries_gauge.Set(static_cast<double>(report.lease_expiries));
         obs::EmitEvent("worker_steal", worker,
                        "target " + std::to_string(k) + " from " + victim);
       }
@@ -813,7 +795,6 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
       idle_backoff.Reset();
       if (run_one(k)) ++resolved;
     }
-    targets_done_gauge.Set(static_cast<double>(resolved));
     if (SweepDrainRequested()) {
       report.drained = true;
       break;
@@ -850,7 +831,6 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
     if (TargetResolved(workdir, k)) ++resolved;
   }
   report.complete = resolved == targets.size();
-  targets_done_gauge.Set(static_cast<double>(resolved));
 
   {
     std::lock_guard<std::mutex> lock(renewer.mu);

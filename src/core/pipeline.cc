@@ -461,19 +461,6 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
   static obs::Counter& checkpoint_write_failures =
       obs::MetricsRegistry::Instance().GetCounter(
           "pipeline.checkpoint_write_failures");
-  // Sweep heartbeat: progress gauges for /metrics and /statusz (the live
-  // telemetry plane), refreshed per target. Write-only relaxed stores --
-  // nothing numeric ever reads them back.
-  static obs::Gauge& targets_total_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_total");
-  static obs::Gauge& targets_done_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_done");
-  static obs::Gauge& targets_retried_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_retried");
-  static obs::Gauge& targets_degraded_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_degraded");
-  static obs::Gauge& targets_failed_gauge =
-      obs::MetricsRegistry::Instance().GetGauge("sweep.targets_failed");
 
   // The leave-one-out cells are independent (MetaGL/GLEMOS-style benchmark
   // shape): fan targets out across the pool. Every per-target computation
@@ -522,13 +509,9 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
     }
   }
 
-  // Heartbeat baseline: resumed targets count as done from the start.
+  // Finished attempts (ok, degraded or failed), resumed targets included,
+  // for the sweep.drained event.
   size_t processed = result.resumed;
-  targets_total_gauge.Set(static_cast<double>(targets.size()));
-  targets_done_gauge.Set(static_cast<double>(processed));
-  targets_retried_gauge.Set(0.0);
-  targets_degraded_gauge.Set(0.0);
-  targets_failed_gauge.Set(0.0);
   obs::EmitEvent("sweep.begin",
                  std::to_string(targets.size()) + " targets, " +
                      std::to_string(result.resumed) + " resumed");
@@ -567,13 +550,7 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
     }
     result.evaluations[i] = std::move(eval);
     if (done[i]) save_checkpoint_locked();
-    // Heartbeat refresh: processed counts every finished attempt (ok,
-    // degraded, or failed), so done/total reaches 1.0 even on lossy sweeps.
     ++processed;
-    targets_done_gauge.Set(static_cast<double>(processed));
-    targets_retried_gauge.Set(static_cast<double>(result.retried));
-    targets_degraded_gauge.Set(static_cast<double>(result.degraded));
-    targets_failed_gauge.Set(static_cast<double>(result.failed));
   };
 
   try {

@@ -195,14 +195,6 @@ void LogSinkToEventLog(LogLevel level, const char* file, int line,
   EmitLogEvent(level, file, line, message);
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
 }  // namespace
 
 Status StartEventLog(const std::string& path, const EventLogOptions& options) {
@@ -257,27 +249,13 @@ bool MaybeStartEventLogFromEnv() {
   if (EventLogEnabled()) return true;
   const char* path = std::getenv("TG_EVENT_LOG");
   if (path == nullptr || *path == '\0') return false;
-  EventLogOptions options;
-  const double rate = EnvDouble("TG_EVENT_LOG_RATE", 0.0);
-  if (rate > 0.0) {
-    options.rate_per_sec = rate;
-    options.burst = 2.0 * rate;
-  }
-  const double span_ms = EnvDouble("TG_EVENT_LOG_SPAN_MS", -1.0);
-  if (span_ms >= 0.0) options.span_threshold_ms = span_ms;
-  Status started = StartEventLog(path, options);
+  Status started = StartEventLog(path);
   if (!started.ok()) {
     std::fprintf(stderr, "event log unavailable: %s\n",
                  started.ToString().c_str());
     return false;
   }
   return true;
-}
-
-std::string EventLogPath() {
-  EventLogState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.path;
 }
 
 void EmitLogEvent(LogLevel level, const char* file, int line,

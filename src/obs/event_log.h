@@ -1,8 +1,9 @@
 // Structured JSON-lines event log: every TG_LOG call, every span close above
 // a duration threshold, and explicit events (sweep heartbeat) become one
 // self-describing JSON object on one line -- the debuggable alternative to
-// interleaved stderr when the pipeline runs across a pool, a telemetry
-// thread, and (eventually) multiple sweep workers.
+// interleaved stderr when the pipeline runs across a pool and multiple sweep
+// workers. It is the live view of a running sweep: `tail -f` the file to
+// watch sweep.begin / sweep.target_end / sweep.end arrive.
 //
 // Record shape (all records):
 //   {"ts_ns":..,"tid":..,"kind":"log|span|<event kind>", ...kind fields...,
@@ -25,14 +26,14 @@
 // the enabled flag; when the log is off (the default) that load is the
 // entire cost, matching every other obs substrate.
 //
-// Determinism contract: the event log is write-only telemetry on the same
-// clock discipline as tracing -- it never touches RNG, never reorders work,
-// and is never read back, so pipeline outputs are bit-identical with the
-// log on or off (tests/obs_telemetry_test.cc).
+// Determinism contract: the event log is write-only on the same clock
+// discipline as tracing -- it never touches RNG, never reorders work, and
+// is never read back, so pipeline outputs are bit-identical with the log on
+// or off (tests/obs_event_log_test.cc).
 //
 // Enabling: StartEventLog(path) at runtime, or the TG_EVENT_LOG=path
 // environment variable via MaybeStartEventLogFromEnv() (tg_cli does this at
-// startup). TG_EVENT_LOG_RATE / TG_EVENT_LOG_SPAN_MS tune the defaults.
+// startup) with the default EventLogOptions.
 #ifndef TG_OBS_EVENT_LOG_H_
 #define TG_OBS_EVENT_LOG_H_
 
@@ -59,13 +60,11 @@ inline bool EventLogEnabled() {
 
 struct EventLogOptions {
   // Token-bucket shed policy: steady-state events/second and the burst the
-  // bucket absorbs before shedding. TG_EVENT_LOG_RATE overrides the rate
-  // (burst follows at 2x) when > 0.
+  // bucket absorbs before shedding.
   double rate_per_sec = 2000.0;
   double burst = 4000.0;
   // Span closes shorter than this never reach the log (they would drown
   // it: a skip-gram epoch closes thousands of sub-millisecond spans).
-  // TG_EVENT_LOG_SPAN_MS overrides when >= 0.
   double span_threshold_ms = 10.0;
   // Drainer wakeup period: latency between an emission and its line being
   // durable in the file.
@@ -83,14 +82,11 @@ Status StartEventLog(const std::string& path,
 // Idempotent.
 void StopEventLog();
 
-// Starts the log from TG_EVENT_LOG (honoring TG_EVENT_LOG_RATE and
-// TG_EVENT_LOG_SPAN_MS) when the variable is set and non-empty. Returns
-// true iff the log is running afterwards; a failed open logs a warning and
-// returns false -- a bad path must never take the pipeline down.
+// Starts the log from TG_EVENT_LOG with the default options when the
+// variable is set and non-empty. Returns true iff the log is running
+// afterwards; a failed open logs a warning and returns false -- a bad path
+// must never take the pipeline down.
 bool MaybeStartEventLogFromEnv();
-
-// The path of the running log ("" when stopped), for /statusz.
-std::string EventLogPath();
 
 // --- Emission ---------------------------------------------------------------
 // All emitters are cheap no-ops (one relaxed load) when the log is off, and
@@ -115,7 +111,7 @@ void MaybeEmitSpanEvent(const char* name, const std::string& detail,
 // Events written to (or queued for) the file / shed by the rate limiter /
 // shed because a record arrived after StopEventLog began draining. The
 // "event_log.events" and "event_log.dropped_events" registry counters track
-// the same numbers for /metrics.
+// the same numbers for --metrics.
 uint64_t EventLogEmittedCount();
 uint64_t EventLogDroppedCount();
 

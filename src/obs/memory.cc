@@ -70,11 +70,6 @@ inline void CountAllocation(size_t size) {
   t_in_hook = false;
 }
 
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
-
 // Seeds the flag from TG_MEM_TRACK during dynamic initialization.
 // Allocations before this runs are simply uncounted.
 const bool g_env_seeded = [] {
@@ -146,6 +141,11 @@ AllocStats TotalAllocStats() {
     total.count += counters->count.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+bool EnvFlagSet(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
 }
 
 }  // namespace tg::obs

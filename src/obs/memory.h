@@ -56,6 +56,12 @@ AllocStats ThreadAllocStats();
 // for reports, not hot paths.
 AllocStats TotalAllocStats();
 
+// True when environment variable `name` is set, non-empty and not "0": the
+// one reader of the obs on/off switches (TG_TRACE, TG_METRICS, TG_MEM_TRACK,
+// TG_PERF_COUNTERS). Allocation-free, because TG_MEM_TRACK is read from a
+// dynamic initializer that may run before the operator-new hook is safe.
+bool EnvFlagSet(const char* name);
+
 }  // namespace tg::obs
 
 #endif  // TG_OBS_MEMORY_H_

@@ -98,7 +98,7 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
   return *slot;
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot(bool include_buckets) const {
+MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
@@ -112,12 +112,6 @@ MetricsSnapshot MetricsRegistry::Snapshot(bool include_buckets) const {
     s.p50 = h->Quantile(0.5);
     s.p95 = h->Quantile(0.95);
     s.p99 = h->Quantile(0.99);
-    if (include_buckets) {
-      s.buckets.reserve(h->num_buckets());
-      for (size_t i = 0; i < h->num_buckets(); ++i) {
-        s.buckets.emplace_back(h->BucketUpperBound(i), h->BucketCount(i));
-      }
-    }
     snap.histograms[name] = std::move(s);
   }
   return snap;

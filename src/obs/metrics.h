@@ -120,11 +120,6 @@ struct HistogramStats {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
-  // Per-bucket (inclusive upper bound, raw count) pairs, the overflow bucket
-  // last with an infinite bound. Filled only by Snapshot(true) -- the
-  // Prometheus exposition path -- and left empty otherwise so the common
-  // snapshot stays cheap.
-  std::vector<std::pair<double, uint64_t>> buckets;
 };
 
 // Point-in-time copy of the whole registry, for diffing (cold vs warm
@@ -147,14 +142,8 @@ class MetricsRegistry {
   Histogram& GetHistogram(const std::string& name,
                           const HistogramOptions& options = {});
 
-  // Point-in-time copy of the registry. `include_buckets` additionally
-  // copies every histogram's raw bucket counts (the /metrics exposition
-  // needs the full distribution, not just quantiles). Individual bucket
-  // loads are relaxed, so a snapshot taken mid-Observe can carry a bucket
-  // increment the count_ field has not seen yet; consumers that need an
-  // internally consistent series (cumulative _bucket/_count) must derive
-  // the total from the buckets themselves.
-  MetricsSnapshot Snapshot(bool include_buckets = false) const;
+  // Point-in-time copy of the registry.
+  MetricsSnapshot Snapshot() const;
 
   // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   // Histograms include count/sum/min/max/p50/p95 and the nonzero buckets.

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
+#include "obs/memory.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/json_util.h"
@@ -42,11 +42,6 @@ void LatchUnavailable(const std::string& reason) {
     std::lock_guard<std::mutex> lock(g_reason_mu);
     UnavailableReason() = reason;
   }
-}
-
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
 }
 
 [[maybe_unused]] const bool g_env_seeded = [] {

@@ -292,6 +292,14 @@ std::string SymbolizePc(uintptr_t pc, ProfileAggregates* agg) {
     name = info.dli_sname != nullptr
                ? Demangle(info.dli_sname)
                : SymtabName(pc, info, object, &agg->function_tables);
+    // An object with no symbol for `pc` (a stripped libm or libc) is named
+    // itself, so its samples share one row instead of one hex row per PC.
+    if (name.empty() && info.dli_fname != nullptr &&
+        *info.dli_fname != '\0') {
+      const char* slash = std::strrchr(info.dli_fname, '/');
+      name = std::string("[") +
+             (slash != nullptr ? slash + 1 : info.dli_fname) + "]";
+    }
   }
 #endif
   if (name.empty()) {
@@ -348,15 +356,6 @@ void DrainInto(ProfileAggregates* agg) {
 
 }  // namespace
 
-int ProfilerDefaultHz() {
-  const char* env = std::getenv("TG_PROFILE_HZ");
-  if (env != nullptr && *env != '\0') {
-    const int hz = std::atoi(env);
-    if (hz > 0) return hz;
-  }
-  return 97;
-}
-
 bool ProfilerRunning() { return g_running.load(std::memory_order_relaxed); }
 
 int ProfilerHz() { return g_hz; }
@@ -387,7 +386,7 @@ Status StartProfiler(int hz) {
   if (g_running.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("profiler already running");
   }
-  if (hz == 0) hz = ProfilerDefaultHz();
+  if (hz == 0) hz = kProfilerDefaultHz;
   if (hz < 1 || hz > 10000) {
     return Status::InvalidArgument("profile rate out of range [1,10000]: " +
                                    std::to_string(hz));
@@ -452,6 +451,12 @@ Status StopProfiler() {
   ProfilerDrain();
   return Status::OK();
 #endif
+}
+
+std::string ProfilerFrameName(uintptr_t pc) {
+  ProfileAggregates& agg = Aggregates();
+  std::lock_guard<std::mutex> lock(agg.mu);
+  return SymbolizePc(pc, &agg);
 }
 
 void ProfilerDrain() {

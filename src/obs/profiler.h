@@ -31,7 +31,7 @@
 // (tests/obs_profiler_test.cc).
 //
 // Enabling: StartProfiler()/StopProfiler() at runtime or `tg_cli
-// --profile[=HZ]`; TG_PROFILE_HZ overrides the default rate.
+// --profile[=HZ]`.
 #ifndef TG_OBS_PROFILER_H_
 #define TG_OBS_PROFILER_H_
 
@@ -43,12 +43,11 @@
 
 namespace tg::obs {
 
-// Sampling rate used when StartProfiler(0) is called: TG_PROFILE_HZ when
-// set to a positive integer, else 97.
-int ProfilerDefaultHz();
+// Sampling rate used when StartProfiler(0) is called.
+constexpr int kProfilerDefaultHz = 97;
 
 // Starts the SIGPROF sampling timer at `hz` samples/sec of process CPU
-// time (0 = ProfilerDefaultHz()). Also enables span bookkeeping
+// time (0 = kProfilerDefaultHz). Also enables span bookkeeping
 // (SetProfilerSpansEnabled) so samples can attribute to spans. Fails if
 // already running or if the timer cannot be created.
 Status StartProfiler(int hz = 0);
@@ -92,6 +91,12 @@ std::string CollapsedStacks();
 
 // CollapsedStacks() written atomically to `path`.
 Status WriteCollapsedStacks(const std::string& path);
+
+// The frame name samples at `pc` are reported under: the demangled symbol
+// (from .dynsym or .symtab); else "[object]", the basename of the loaded
+// object holding `pc` when that object names no function for it (stripped
+// system libraries carry no .symtab); else the hex address.
+std::string ProfilerFrameName(uintptr_t pc);
 
 // Aligned table of the hottest symbols of the interrupted PC: samples and
 // their share of all samples. `top_n` rows, hottest first.

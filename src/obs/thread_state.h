@@ -1,7 +1,7 @@
 // Internal to src/obs: the one per-thread state shared by the span tracer
 // (obs/trace.cc) and the structured event log (obs/event_log.cc). One
 // registry, in trace.cc, numbers threads densely on first use, so a tid means
-// the same thread in the Chrome trace, in event-log lines and on /statusz.
+// the same thread in the Chrome trace and in event-log lines.
 //
 // Two per-thread structures stay outside on purpose: the SIGPROF sample ring
 // (obs/profiler.cc), whose writer is a signal handler and may not allocate a
@@ -125,19 +125,9 @@ struct EventRecord {
   std::vector<std::string> span_chain;
 };
 
-// Cross-thread-readable open-span stack depth. Deeper nesting than this is
-// still tracked by the thread-local chain; only the /statusz view truncates.
-constexpr size_t kMaxPublishedOpenSpans = 32;
-
 struct ThreadState {
   uint32_t tid = 0;
   std::string name;  // guarded by the registry mutex in trace.cc
-  // Published open-span names for /statusz: owner thread stores, any thread
-  // loads. Values are string literals (static storage), so a reader can
-  // dereference whatever it sees; depth is published after the name slot so
-  // an observed depth never exposes an unwritten slot.
-  std::atomic<const char*> open_names[kMaxPublishedOpenSpans] = {};
-  std::atomic<uint32_t> open_depth{0};
   // Consumed by SnapshotSpans/ResetSpans under the registry mutex.
   RecordLog<SpanRecord, 256> spans;
   // Consumed by the event log's single drainer.

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -32,14 +31,6 @@ constexpr uint32_t kProfileBit = 4u;
 // Event-log bookkeeping: span closes above the event log's duration
 // threshold emit a structured event (obs/event_log.h).
 constexpr uint32_t kEventLogBit = 8u;
-// Telemetry bookkeeping: spans publish their names into per-thread atomic
-// stacks that AllThreadsOpenSpans() reads for /statusz.
-constexpr uint32_t kTelemetryBit = 16u;
-
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
 
 std::atomic<uint32_t>& Mode() {
   // Function-local so first use (from any TU, any time) is well-defined;
@@ -50,7 +41,6 @@ std::atomic<uint32_t>& Mode() {
   return mode;
 }
 
-using internal_thread_state::kMaxPublishedOpenSpans;
 using internal_thread_state::LocalThreadState;
 using internal_thread_state::ThreadState;
 
@@ -126,14 +116,6 @@ void SetEventLogSpansEnabled(bool enabled) {
   }
 }
 
-void SetTelemetrySpansEnabled(bool enabled) {
-  if (enabled) {
-    Mode().fetch_or(kTelemetryBit, std::memory_order_relaxed);
-  } else {
-    Mode().fetch_and(~kTelemetryBit, std::memory_order_relaxed);
-  }
-}
-
 Span::Span(const char* name) : Span(name, std::string()) {}
 
 Span::Span(const char* name, std::string detail) {
@@ -151,17 +133,6 @@ Span::Span(const char* name, std::string detail) {
   // written (same-thread signal visibility needs only a compiler barrier).
   std::atomic_signal_fence(std::memory_order_release);
   t_open_span = this;
-  if ((mode & kTelemetryBit) != 0) {
-    // Publish the name for cross-thread /statusz reads: slot first, then
-    // depth, so a reader that sees the new depth also sees the name.
-    ThreadState& state = LocalThreadState();
-    const uint32_t depth = state.open_depth.load(std::memory_order_relaxed);
-    if (depth < kMaxPublishedOpenSpans) {
-      state.open_names[depth].store(name, std::memory_order_release);
-    }
-    state.open_depth.store(depth + 1, std::memory_order_release);
-    published_open_ = true;
-  }
   if ((mode & kProfileBit) != 0) {
     // Allocates this thread's sample ring on first use -- off-signal, so
     // the handler itself never has to.
@@ -188,13 +159,6 @@ Span::~Span() {
   t_current_span = prev_current_;
   std::atomic_signal_fence(std::memory_order_release);
   t_open_span = prev_open_;
-  if (published_open_) {
-    ThreadState& state = LocalThreadState();
-    const uint32_t depth = state.open_depth.load(std::memory_order_relaxed);
-    if (depth > 0) {
-      state.open_depth.store(depth - 1, std::memory_order_release);
-    }
-  }
   if (perf_delta.ok) AccumulateStageCounters(name_, perf_delta);
   const uint32_t mode = Mode().load(std::memory_order_relaxed);
   if ((mode & kMetricsBit) != 0) {
@@ -239,28 +203,6 @@ size_t OpenSpanNamesForSignal(const char** names, size_t max_names) {
 
 const char* CurrentSpanName() {
   return t_open_span != nullptr ? t_open_span->name_ : nullptr;
-}
-
-std::vector<ThreadOpenSpans> AllThreadsOpenSpans() {
-  std::vector<ThreadOpenSpans> out;
-  ThreadRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  out.reserve(registry.states.size());
-  for (const auto& state : registry.states) {
-    ThreadOpenSpans entry;
-    entry.tid = state->tid;
-    entry.thread_name = state->name;
-    const uint32_t depth = std::min<uint32_t>(
-        state->open_depth.load(std::memory_order_acquire),
-        kMaxPublishedOpenSpans);
-    for (uint32_t i = 0; i < depth; ++i) {
-      const char* name = state->open_names[i].load(std::memory_order_acquire);
-      if (name == nullptr) break;  // slot racing with a push; stop cleanly
-      entry.spans.emplace_back(name);
-    }
-    out.push_back(std::move(entry));
-  }
-  return out;
 }
 
 std::vector<std::string> CurrentSpanStack() {

@@ -49,13 +49,6 @@ void SetProfilerSpansEnabled(bool enabled);
 // Driven by StartEventLog/StopEventLog, not set directly.
 void SetEventLogSpansEnabled(bool enabled);
 
-// Telemetry bookkeeping: spans additionally publish their (static-storage)
-// names into a per-thread atomic stack that AllThreadsOpenSpans() reads
-// cross-thread, so /statusz can show the stages in flight on every thread.
-// Driven by StartTelemetry/StopTelemetry (obs/telemetry.h), not set
-// directly.
-void SetTelemetrySpansEnabled(bool enabled);
-
 // --- Clock ------------------------------------------------------------------
 
 // Nanoseconds since the process trace epoch (steady clock; the epoch is
@@ -135,10 +128,6 @@ class Span {
   uint64_t allocs_start_ = 0;
   PerfCounterValues perf_start_;
   bool active_ = false;
-  // Whether this span pushed its name onto the cross-thread-readable open
-  // stack (telemetry mode); the pop in ~Span must mirror the push even if
-  // telemetry is toggled mid-span.
-  bool published_open_ = false;
   // Link in the thread-local open-span chain behind CurrentSpanStack().
   Span* prev_open_ = nullptr;
 };
@@ -153,20 +142,6 @@ std::vector<std::string> CurrentSpanStack();
 // when none is open (or no obs mode is active). One thread-local read;
 // util/logging.cc stamps it onto log lines so logs and spans correlate.
 const char* CurrentSpanName();
-
-// Cross-thread view of the open spans, for /statusz: each entry is one
-// thread that has ever recorded spans, with the names of its currently open
-// spans outermost first. Populated only while telemetry span publication is
-// on (SetTelemetrySpansEnabled); the names are read from per-thread atomic
-// slots, so a stack observed mid-transition may be one frame stale but is
-// never torn and never dereferences freed memory (span names have static
-// storage duration).
-struct ThreadOpenSpans {
-  uint32_t tid = 0;
-  std::string thread_name;
-  std::vector<std::string> spans;
-};
-std::vector<ThreadOpenSpans> AllThreadsOpenSpans();
 
 // Async-signal-safe variant for the SIGPROF handler: fills `names` with the
 // open spans' static-storage name pointers, innermost first, and returns

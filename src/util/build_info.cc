@@ -2,7 +2,6 @@
 
 #include "numeric/kernel_backend.h"
 #include "obs/perf_counters.h"
-#include "obs/telemetry.h"
 #include "util/json_util.h"
 #include "util/thread_pool.h"
 
@@ -59,9 +58,6 @@ std::string BuildInfoJson() {
   // in the artifact mean anything (see obs/perf_counters.h).
   out += ",\"perf_counters\":" +
          JsonQuote(obs::PerfCountersStatusString());
-  // Same idea for the scrape plane: "disabled" | "ok" | "unavailable (...)"
-  // records whether this run was live-scrapeable (see obs/telemetry.h).
-  out += ",\"telemetry\":" + JsonQuote(obs::TelemetryStatusString());
   out += "}";
   return out;
 }

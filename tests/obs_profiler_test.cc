@@ -8,6 +8,7 @@
 // schema.
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -27,6 +28,10 @@
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "zoo/model_zoo.h"
+
+#if defined(__linux__)
+#include <dlfcn.h>
+#endif
 
 namespace tg {
 namespace {
@@ -158,7 +163,6 @@ class ObsProfilerTest : public ::testing::Test {
 };
 
 TEST_F(ObsProfilerTest, LifecycleAndArgumentValidation) {
-  EXPECT_GT(obs::ProfilerDefaultHz(), 0);
   EXPECT_FALSE(obs::ProfilerRunning());
 
   EXPECT_FALSE(obs::StartProfiler(-5).ok());
@@ -173,6 +177,10 @@ TEST_F(ObsProfilerTest, LifecycleAndArgumentValidation) {
   ASSERT_TRUE(obs::StopProfiler().ok());
   EXPECT_FALSE(obs::ProfilerRunning());
   ASSERT_TRUE(obs::StopProfiler().ok()) << "stop must be idempotent";
+
+  ASSERT_TRUE(obs::StartProfiler(0).ok());
+  EXPECT_EQ(obs::ProfilerHz(), obs::kProfilerDefaultHz);
+  ASSERT_TRUE(obs::StopProfiler().ok());
 }
 
 TEST_F(ObsProfilerTest, SamplesAttributeToSpansUnderParallelFor) {
@@ -275,6 +283,28 @@ TEST_F(ObsProfilerTest, InternalLinkageFunctionsAreNamed) {
   }
   EXPECT_GT(named, 0u) << obs::CollapsedStacks();
 }
+
+#if defined(__linux__)
+// A PC inside a loaded object that names no function for it -- here the
+// first byte of the object's mapping, its ELF header -- is reported under
+// the object's basename, the way samples in a stripped libm are, not as a
+// hex address.
+TEST_F(ObsProfilerTest, UnsymbolizedPcIsNamedByItsObject) {
+  Dl_info info;
+  ASSERT_NE(dladdr(reinterpret_cast<void*>(&SpinWithFramePointer), &info), 0);
+  ASSERT_NE(info.dli_fname, nullptr);
+  const char* slash = std::strrchr(info.dli_fname, '/');
+  const std::string object = slash != nullptr ? slash + 1 : info.dli_fname;
+  ASSERT_FALSE(object.empty());
+  EXPECT_EQ(obs::ProfilerFrameName(reinterpret_cast<uintptr_t>(info.dli_fbase)),
+            "[" + object + "]");
+  // A PC inside a function is still named by the function.
+  EXPECT_NE(obs::ProfilerFrameName(
+                reinterpret_cast<uintptr_t>(&SpinWithFramePointer) + 1)
+                .find("SpinWithFramePointer"),
+            std::string::npos);
+}
+#endif
 
 TEST_F(ObsProfilerTest, ResetProfileClearsAggregates) {
   SetThreadCount(2);

@@ -37,14 +37,15 @@ expect_rejected "$BAD" "$TG_CLI" sweep --workdir /nonexistent --worker-id w0 \
     --lease-sec abc
 expect_rejected "$BAD" "$TG_CLI" sweep --workdir /nonexistent --worker-id w0 \
     --lease-sec nan
-expect_rejected "$BAD" "$TG_CLI" catalog --telemetry-port abc
-expect_rejected "$BAD" "$TG_CLI" catalog --telemetry-port 70000
 expect_rejected "$BAD" "$TG_CLI" catalog --profile=abc
 expect_rejected "$BAD" "$TG_CLI" catalog --rss-sample 5ms
 # Unknown or misspelled options are rejected, never silently ignored.
 expect_rejected "unknown option --modles" "$TG_CLI" catalog --modles 3
 expect_rejected "unknown option --predictr" "$TG_CLI" rank --target 0 \
     --predictr lr
+# The removed live telemetry flag is unknown, not silently accepted.
+expect_rejected "unknown option --telemetry-port" "$TG_CLI" catalog \
+    --telemetry-port 0
 # bench_history compare has no threshold options: every removed flag is
 # unknown, and a trailing flag without its value is rejected too.
 for ARGS in "--baseline 1" "--max-rss-ratio 1" "--min-counter-cycles 1" \

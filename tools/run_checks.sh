@@ -25,7 +25,7 @@
 # (--trace/--metrics/--mem/--rss-sample), including validity of the exported
 # Chrome-trace JSON, and a profiling gate: `tg_cli rank --profile` must
 # attribute >0 samples to named pipeline spans in a parsable
-# collapsed-stack file, the obs, profiler and telemetry test suites must
+# collapsed-stack file, the obs, profiler and event-log test suites must
 # pass under ASan (the TSan ctest pass above covers their race freedom), and a
 # forced TG_FAULT=perf_open=always run must degrade to a labeled
 # "perf counters unavailable" state with a clean exit.
@@ -422,103 +422,14 @@ grep -q "perf counters unavailable: injected fault at perf_open" \
 echo "injected perf_open fault degraded cleanly"
 
 # The obs suites under ASan catch buffer-lifetime mistakes: the profiler's
-# signal path, the per-thread record logs (ResetSpans and the event-log
-# drainer free the blocks they consume), and the telemetry server's
-# socket/buffer lifetimes. The TSan ctest pass above already ran them for
-# race freedom (scrape-during-ParallelFor, cross-thread span stacks,
+# signal path and the per-thread record logs (ResetSpans and the event-log
+# drainer free the blocks they consume). The TSan ctest pass above already
+# ran them for race freedom (event-log drainer against emitting threads,
 # concurrent span writers against snapshot/reset).
 cmake --build build-asan -j "$JOBS" \
-    --target obs_test obs_profiler_test obs_telemetry_test
+    --target obs_test obs_profiler_test obs_event_log_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_profiler_test
-./build-asan/tests/obs_telemetry_test
-
-section "telemetry gate: live scrape of a running sweep"
-# A sweep served on an ephemeral port must be scrapeable mid-run: the bound
-# port is announced on stderr, at least one stage histogram must show a
-# nonzero _count, and the sweep.targets_done gauge must advance between two
-# scrapes. The heavy strategy (node2vec + all features + GBDT) keeps the
-# sweep alive long enough to observe from outside.
-cmake --build build-release -j "$JOBS" --target scrape tg_cli
-TELEM_DIR="$(mktemp -d /tmp/tg_telem.XXXXXX)"
-trap 'rm -f "$TRACE_FILE"; \
-     rm -rf "$FAULT_OUT" "$PROF_DIR" "$TELEM_DIR" "$DIST_DIR"' EXIT
-./build-release/tools/tg_cli sweep --modality image --models 48 \
-    --learner n2v --features all --predictor xgb --telemetry-port 0 \
-    > "$TELEM_DIR/stdout.txt" 2> "$TELEM_DIR/stderr.txt" &
-SWEEP_PID=$!
-TELEM_PORT=""
-for _ in $(seq 1 100); do
-  TELEM_PORT="$(sed -n \
-      's/^telemetry: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-      "$TELEM_DIR/stderr.txt")"
-  [ -n "$TELEM_PORT" ] && break
-  kill -0 "$SWEEP_PID" 2>/dev/null || break
-  sleep 0.1
-done
-if [ -z "$TELEM_PORT" ]; then
-  echo "sweep --telemetry-port 0 never announced its bound port" >&2
-  cat "$TELEM_DIR/stderr.txt" >&2
-  kill "$SWEEP_PID" 2>/dev/null || true
-  exit 1
-fi
-DONE_FIRST="$(./build-release/tools/scrape --port "$TELEM_PORT" \
-    --retries 50 --print-metric tg_sweep_targets_done)"
-ADVANCED=0
-HIST_ACTIVE=0
-for _ in $(seq 1 120); do
-  kill -0 "$SWEEP_PID" 2>/dev/null || break
-  DONE_NOW="$(./build-release/tools/scrape --port "$TELEM_PORT" \
-      --print-metric tg_sweep_targets_done 2>/dev/null || echo \
-      "$DONE_FIRST")"
-  if [ "${DONE_NOW%.*}" -gt "${DONE_FIRST%.*}" ] 2>/dev/null; then
-    ADVANCED=1
-    # Progress implies closed spans, so the stage histograms must be live
-    # on the same still-running server.
-    if ./build-release/tools/scrape --port "$TELEM_PORT" --quiet \
-        --assert-histogram-activity; then
-      HIST_ACTIVE=1
-    fi
-    break
-  fi
-  sleep 0.5
-done
-wait "$SWEEP_PID" || {
-  echo "telemetry-served sweep exited non-zero" >&2
-  cat "$TELEM_DIR/stderr.txt" >&2
-  exit 1
-}
-if [ "$ADVANCED" -ne 1 ]; then
-  echo "tg_sweep_targets_done never advanced across live scrapes" >&2
-  exit 1
-fi
-if [ "$HIST_ACTIVE" -ne 1 ]; then
-  echo "no stage histogram showed a nonzero _count mid-sweep" >&2
-  exit 1
-fi
-echo "live scrape gate passed (port $TELEM_PORT," \
-    "targets_done $DONE_FIRST -> ${DONE_NOW})"
-
-# A poisoned bind must degrade, not kill the run: the sweep finishes with
-# exit 0 and stderr labels the plane unavailable with the injected reason.
-set +e
-TG_FAULT="telemetry_bind=always" ./build-release/tools/tg_cli sweep \
-    --modality image --models 24 --learner none --features metadata \
-    --predictor lr --telemetry-port 0 \
-    > /dev/null 2> "$TELEM_DIR/fault_stderr.txt"
-TELEM_FAULT_CODE=$?
-set -e
-if [ "$TELEM_FAULT_CODE" -ne 0 ]; then
-  echo "sweep must survive TG_FAULT=telemetry_bind=always, got exit" \
-      "$TELEM_FAULT_CODE" >&2
-  cat "$TELEM_DIR/fault_stderr.txt" >&2
-  exit 1
-fi
-grep -q "telemetry unavailable" "$TELEM_DIR/fault_stderr.txt" || {
-  echo "expected a labeled 'telemetry unavailable' degradation" >&2
-  cat "$TELEM_DIR/fault_stderr.txt" >&2
-  exit 1
-}
-echo "injected telemetry_bind fault degraded cleanly"
+./build-asan/tests/obs_event_log_test
 
 section "all checks passed"

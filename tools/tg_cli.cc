@@ -51,7 +51,7 @@
 //                   milliseconds on a background thread; with --trace the
 //                   samples appear as Perfetto counter tracks
 //   --profile[=HZ]  sample the run with the SIGPROF profiler (default rate
-//                   ~97 Hz, or TG_PROFILE_HZ); prints the top-N symbol
+//                   97 Hz); prints the top-N symbol
 //                   table and per-span sample counts, and writes a
 //                   collapsed-stack file (flamegraph.pl / speedscope)
 //   --profile-out FILE   collapsed-stack path (default tg_profile.collapsed)
@@ -59,14 +59,10 @@
 //                   cache + branch misses) via perf_event_open; prints the
 //                   per-stage IPC / cache-miss table after the run, or the
 //                   reason counters were unavailable; also TG_PERF_COUNTERS=1
-//   --telemetry-port P   serve /metrics (Prometheus text), /statusz (JSON)
-//                   and /healthz on 127.0.0.1:P for the whole run; P=0 (or
-//                   the bare flag) picks an ephemeral port, announced on
-//                   stderr; also TG_TELEMETRY_PORT=P. A failed bind degrades
-//                   to "telemetry unavailable", never a crash.
 //   TG_EVENT_LOG=F  route every log line, slow span close, and sweep
-//                   heartbeat event to F as structured JSON lines
-//                   (TG_EVENT_LOG_RATE / TG_EVENT_LOG_SPAN_MS tune shedding)
+//                   progress event to F as structured JSON lines; `tail -f F`
+//                   is the live view of a running sweep (a distributed
+//                   worker also refreshes DIR/workers/K/heartbeat.json)
 #include <algorithm>
 #include <cctype>
 #include <climits>
@@ -95,7 +91,6 @@
 #include "obs/perf_counters.h"
 #include "obs/profiler.h"
 #include "obs/resource_sampler.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/json_util.h"
@@ -118,8 +113,7 @@ struct CliArgs {
   size_t target_index = 0;      // ...and indexes the evaluation targets
   size_t top = 10;           // --top
   double lease_sec = 30.0;   // --lease-sec
-  int telemetry_port = -1;   // --telemetry-port; -1 absent, 0 ephemeral
-  int profile_hz = 0;        // --profile=HZ; 0 = TG_PROFILE_HZ or default
+  int profile_hz = 0;        // --profile=HZ; 0 = the default rate
   int rss_sample_ms = -1;    // --rss-sample; -1 = off
 
   std::string Get(const std::string& key, const std::string& fallback) const {
@@ -158,8 +152,6 @@ int Usage() {
                "(sampling profiler, collapsed-stack output),\n"
                "                 --perf-counters (per-stage IPC / cache-miss "
                "table via perf_event_open),\n"
-               "                 --telemetry-port P (serve /metrics /statusz "
-               "/healthz on 127.0.0.1:P; 0 = ephemeral),\n"
                "                 --log-level debug|info|warning|error\n"
                "  profile runs rank (default --target 0) under the profiler "
                "and prints the report\n");
@@ -216,8 +208,8 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
 
 // Parses the numeric options into `args`. A value that is not a whole number
 // (for --lease-sec, a positive finite number) or that overflows its field is
-// an InvalidArgument naming the option. --telemetry-port, --profile and
-// --rss-sample may also be given bare, which keeps their default.
+// an InvalidArgument naming the option. --profile and --rss-sample may also
+// be given bare, which keeps their default.
 Status ParseNumericOptions(CliArgs* args) {
   auto bad = [&](const std::string& key) {
     return Status::InvalidArgument("--" + key + ": not a valid number: " +
@@ -247,10 +239,6 @@ Status ParseNumericOptions(CliArgs* args) {
       (!ParseDouble(lease, &args->lease_sec) ||
        !std::isfinite(args->lease_sec) || args->lease_sec <= 0.0)) {
     return bad("lease-sec");
-  }
-  if (!args->Get("telemetry-port", "").empty()) args->telemetry_port = 0;
-  if (!whole("telemetry-port", 65535, true, &args->telemetry_port)) {
-    return bad("telemetry-port");
   }
   if (!whole("profile", INT_MAX, true, &args->profile_hz)) {
     return bad("profile");
@@ -730,8 +718,8 @@ int Run(int argc, char** argv) {
       "log-level",     "logme",     "mem",         "metrics",
       "modality",      "models",    "no-degrade",  "out",
       "perf-counters", "predictor", "profile",     "profile-out",
-      "rss-sample",    "target",    "telemetry-port", "top",
-      "trace",         "worker-id", "workdir"};
+      "rss-sample",    "target",    "top",         "trace",
+      "worker-id",     "workdir"};
   for (const auto& [key, value] : args.options) {
     if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
         std::end(kKnown)) {
@@ -763,26 +751,9 @@ int Run(int argc, char** argv) {
   // SIGINT drain instead of killing mid-write.
   if (args.command == "sweep") InstallDrainHandlers();
 
-  // Structured event log (TG_EVENT_LOG) and telemetry plane
-  // (--telemetry-port / TG_TELEMETRY_PORT). Both degrade to a stderr
-  // warning, never a failed run.
+  // Structured event log (TG_EVENT_LOG): the live view of a running sweep.
+  // A bad path degrades to a stderr warning, never a failed run.
   obs::MaybeStartEventLogFromEnv();
-  bool telemetry_started = false;
-  if (args.telemetry_port >= 0) {
-    // Bare --telemetry-port means "any port": 0 binds ephemeral and the
-    // announcement below carries the resolved port.
-    Status started = obs::StartTelemetry(args.telemetry_port);
-    if (started.ok()) {
-      telemetry_started = true;
-      std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%d\n",
-                   obs::TelemetryPort());
-    } else {
-      std::fprintf(stderr, "telemetry unavailable: %s\n",
-                   started.ToString().c_str());
-    }
-  } else {
-    telemetry_started = obs::MaybeStartTelemetryFromEnv();
-  }
 
   // --profile[=HZ], or the `profile` subcommand (which implies it).
   const std::string profile_arg = args.Get("profile", "");
@@ -882,7 +853,6 @@ int Run(int argc, char** argv) {
                 trace_path.c_str());
   }
 
-  if (telemetry_started) obs::StopTelemetry();
   obs::StopEventLog();  // idempotent; flushes the tail of the JSON log
   return code;
 }
