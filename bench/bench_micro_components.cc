@@ -107,18 +107,26 @@ void BM_KernelAxpy(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAxpy)->Arg(128)->Arg(129);
 
-void BM_KernelFusedDotSigmoidUpdate(benchmark::State& state) {
+// One skip-gram context: the positive pair and five negatives.
+void BM_KernelFusedContextUpdate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  constexpr size_t kPairs = 6;
   const std::vector<double> w = BenchVector(n, 25);
-  std::vector<double> c = BenchVector(n, 26);
+  std::vector<std::vector<double>> c;
+  std::vector<double*> rows;
+  for (size_t j = 0; j < kPairs; ++j) c.push_back(BenchVector(n, 26 + 100 * j));
+  for (std::vector<double>& row : c) rows.push_back(row.data());
+  const double labels[kPairs] = {1.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   std::vector<double> grad(n, 0.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::FusedDotSigmoidUpdate(
-        w.data(), c.data(), grad.data(), n, 1.0, 0.025));
+    kernels::FusedContextUpdate(w.data(), rows.data(), labels, kPairs,
+                                grad.data(), n, 0.025);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * n * kPairs);
 }
-BENCHMARK(BM_KernelFusedDotSigmoidUpdate)->Arg(128)->Arg(129);
+BENCHMARK(BM_KernelFusedContextUpdate)->Arg(128)->Arg(129);
 
 void BM_SigmoidTabulated(benchmark::State& state) {
   const std::vector<double> xs = BenchVector(1024, 27);

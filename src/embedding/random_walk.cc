@@ -36,6 +36,17 @@ RandomWalkGenerator::RandomWalkGenerator(const Graph& graph,
     first_step_[v] = AliasTable(weights);
     mean_incident_weight_[v] = total / static_cast<double>(nbrs.size());
   }
+  // Every ordered adjacent pair's summed weight, filled by the scan itself so
+  // its summation order over repeated typed edges is kept; a non-adjacent
+  // pair keeps the 0.0 the scan would return.
+  const size_t n = graph.num_nodes();
+  pair_weight_.assign(n * n, 0.0);
+  for (NodeId a = 0; a < n; ++a) {
+    for (const Neighbor& nbr : graph.neighbors(a)) {
+      pair_weight_[a * n + nbr.node] = EdgeWeightBetween(a, nbr.node);
+      pair_weight_[nbr.node * n + a] = EdgeWeightBetween(nbr.node, a);
+    }
+  }
 }
 
 double RandomWalkGenerator::EdgeWeightBetween(NodeId a, NodeId b) const {
@@ -54,7 +65,8 @@ double RandomWalkGenerator::EdgeWeightBetween(NodeId a, NodeId b) const {
 double RandomWalkGenerator::TransitionBias(NodeId prev,
                                            NodeId candidate) const {
   if (candidate == prev) return 1.0 / config_.p;
-  const double w_ct = EdgeWeightBetween(candidate, prev);
+  const double w_ct =
+      pair_weight_[static_cast<size_t>(candidate) * graph_.num_nodes() + prev];
   if (!config_.extended) {
     // Classic node2vec: any edge to the previous node counts as "in".
     return w_ct > 0.0 ? 1.0 : 1.0 / config_.q;

@@ -53,12 +53,17 @@ class RandomWalkGenerator {
   double TransitionBias(NodeId prev, NodeId candidate) const;
 
  private:
+  // Sum of the weights of every edge between a and b (0 if none), scanning
+  // the shorter neighbour list.
   double EdgeWeightBetween(NodeId a, NodeId b) const;
 
   const Graph& graph_;
   WalkConfig config_;
   std::vector<AliasTable> first_step_;       // per-node first-order sampling
   std::vector<double> mean_incident_weight_;  // node2vec+ thresholds
+  // Dense N x N table: pair_weight_[a * N + b] == EdgeWeightBetween(a, b),
+  // so a walk step costs O(deg) rather than O(deg^2).
+  std::vector<double> pair_weight_;
 };
 
 }  // namespace tg

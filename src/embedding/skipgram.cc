@@ -36,14 +36,6 @@ std::vector<std::pair<uint32_t, uint32_t>> FlattenPositions(
   return positions;
 }
 
-// Online SGD update for one token position against (input, output): sample a
-// context radius, then for each context word train the positive pair plus
-// `negatives` negative samples, applying the center gradient after each pair
-// (word2vec update order). The pair math lives in
-// kernels::FusedDotSigmoidUpdate. All randomness comes from `prng`, which
-// callers fork off the position's global index. `touched_in` / `touched_out`
-// flag the input/output rows this position wrote, feeding the dirty-row
-// merge.
 // Prefetches the head of an embedding row; the hardware streamer follows the
 // rest of the (64B-aligned, contiguous) row once the first lines are inbound.
 inline void PrefetchRow(const double* row, size_t dim) {
@@ -51,12 +43,34 @@ inline void PrefetchRow(const double* row, size_t dim) {
   if (dim > 8) __builtin_prefetch(row + 8, /*rw=*/1, /*locality=*/2);
 }
 
+// Per-shard buffers for UpdateOnePosition, reused across positions.
+struct ContextScratch {
+  ContextScratch(size_t dim, int negatives)
+      : center_grad(dim),
+        labels(1 + static_cast<size_t>(std::max(negatives, 0)), 0.0) {
+    labels[0] = 1.0;
+    ids.reserve(labels.size());
+    rows.reserve(labels.size());
+  }
+  std::vector<double> center_grad;
+  std::vector<uint32_t> ids;    // the context word, then its negatives
+  std::vector<double*> rows;    // output rows of `ids`
+  std::vector<double> labels;   // 1 for the context word, 0 for negatives
+};
+
+// Online SGD update for one token position against (input, output): sample a
+// context radius, then for each context word train the positive pair plus
+// `negatives` negative samples in word2vec order, applying the center
+// gradient once the context's pairs are done. The pair math lives in
+// kernels::FusedContextUpdate. All randomness comes from `prng`, which
+// callers fork off the position's global index. `touched_in` / `touched_out`
+// flag the input/output rows this position wrote, feeding the dirty-row
+// merge.
 void UpdateOnePosition(const std::vector<uint32_t>& walk, uint32_t pos,
                        double lr, int window, int negatives,
                        const UnigramNegativeSampler& sampler, Rng* prng,
                        size_t dim, Matrix* input, Matrix* output,
-                       std::vector<double>* center_grad_buf,
-                       std::vector<uint32_t>* neg_buf, uint8_t* touched_in,
+                       ContextScratch* scratch, uint8_t* touched_in,
                        uint8_t* touched_out) {
   const int radius =
       1 + static_cast<int>(prng->NextBelow(static_cast<uint64_t>(window)));
@@ -68,34 +82,48 @@ void UpdateOnePosition(const std::vector<uint32_t>& walk, uint32_t pos,
       std::min(walk.size(),
                static_cast<size_t>(pos) + static_cast<size_t>(radius) + 1);
   double* w = input->RowPtr(center);
-  double* center_grad = center_grad_buf->data();
+  double* center_grad = scratch->center_grad.data();
+  std::vector<uint32_t>& ids = scratch->ids;
+  std::vector<double*>& rows = scratch->rows;
   touched_in[center] = 1;
-  auto train_pair = [&](uint32_t context, double label) {
-    kernels::FusedDotSigmoidUpdate(w, output->RowPtr(context), center_grad,
-                                   dim, label, lr);
-    touched_out[context] = 1;
-  };
   for (size_t ctx_pos = lo_ctx; ctx_pos < hi_ctx; ++ctx_pos) {
     if (ctx_pos == pos) continue;
-    std::fill(center_grad_buf->begin(), center_grad_buf->end(), 0.0);
-    // Pre-draw this pair's negatives. The draws were already consecutive
-    // (training a pair consumes no randomness), so batching them first
-    // leaves the Rng stream -- and therefore every result -- bit-identical,
-    // while letting us issue the output-row prefetches below before the
-    // positive update instead of eating each row's miss inside the loop.
-    // PrefetchNext additionally hides the alias-table entry miss of draw
-    // k+1 under draw k.
-    neg_buf->clear();
+    std::fill(scratch->center_grad.begin(), scratch->center_grad.end(), 0.0);
+    // Draw this context's negatives before any update. Training a pair
+    // consumes no randomness, so the Rng stream -- and every result -- is
+    // the same as drawing them pair by pair, while the output rows can be
+    // prefetched ahead of the updates. PrefetchNext additionally hides the
+    // alias-table entry miss of draw k+1 under draw k.
+    ids.clear();
+    ids.push_back(walk[ctx_pos]);
     sampler.PrefetchNext(*prng);
     for (int k = 0; k < negatives; ++k) {
       const uint32_t neg = static_cast<uint32_t>(sampler.Sample(prng));
       sampler.PrefetchNext(*prng);
       if (neg == walk[ctx_pos] || neg == center) continue;
-      neg_buf->push_back(neg);
+      ids.push_back(neg);
     }
-    for (uint32_t neg : *neg_buf) PrefetchRow(output->RowPtr(neg), dim);
-    train_pair(walk[ctx_pos], 1.0);
-    for (uint32_t neg : *neg_buf) train_pair(neg, 0.0);
+    rows.clear();
+    for (uint32_t id : ids) {
+      rows.push_back(output->RowPtr(id));
+      touched_out[id] = 1;
+    }
+    for (size_t t = 1; t < rows.size(); ++t) PrefetchRow(rows[t], dim);
+    // One kernel call per run of distinct rows: a negative drawn twice
+    // starts a new run, so its second dot sees its first update.
+    size_t run = 0;
+    for (size_t t = 1; t < ids.size(); ++t) {
+      if (std::find(ids.begin() + run, ids.begin() + t, ids[t]) !=
+          ids.begin() + t) {
+        kernels::FusedContextUpdate(w, rows.data() + run,
+                                    scratch->labels.data() + run, t - run,
+                                    center_grad, dim, lr);
+        run = t;
+      }
+    }
+    kernels::FusedContextUpdate(w, rows.data() + run,
+                                scratch->labels.data() + run, ids.size() - run,
+                                center_grad, dim, lr);
     kernels::Add(w, center_grad, dim);
   }
 }
@@ -209,9 +237,7 @@ void SkipGramTrainer::TrainSharded(
     }
     ParallelFor(0, shards, 1, [&](size_t s0, size_t s1, size_t /*chunk*/) {
       TG_TRACE_SPAN("skipgram_shard_train");
-      std::vector<double> center_grad(dim);
-      std::vector<uint32_t> neg_buf;
-      neg_buf.reserve(static_cast<size_t>(std::max(stream.negatives, 1)));
+      ContextScratch scratch(dim, stream.negatives);
       for (size_t s = s0; s < s1; ++s) {
         const size_t lo = s * block;
         const size_t hi = std::min(positions.size(), lo + block);
@@ -220,9 +246,8 @@ void SkipGramTrainer::TrainSharded(
           Rng prng = rng->Fork(kPositionStreamBase + epoch_base + i);
           UpdateOnePosition(corpus[wi], pos, stream.LrAt(epoch_base + i),
                             stream.window, stream.negatives, *stream.sampler,
-                            &prng, dim, &rep_in[s], &rep_out[s], &center_grad,
-                            &neg_buf, touched_in[s].data(),
-                            touched_out[s].data());
+                            &prng, dim, &rep_in[s], &rep_out[s], &scratch,
+                            touched_in[s].data(), touched_out[s].data());
         }
       }
     });

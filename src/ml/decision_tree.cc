@@ -71,10 +71,10 @@ struct DecisionTree::ExactContext {
   std::vector<size_t>* rows;  // node-major working segments (seed layout)
   Rng* rng;
   size_t n = 0;                  // rows->size()
-  std::vector<uint32_t> order;   // columns.cols() blocks of n
-  std::vector<uint32_t> scratch; // n, right half of the stable partition
-  std::vector<double> tie_y;     // equal-value run gather buffer
-  std::vector<uint8_t> side;     // columns.rows(), split side per row id
+  std::vector<uint32_t> order{};   // columns.cols() blocks of n
+  std::vector<uint32_t> scratch{}; // n, right half of the stable partition
+  std::vector<double> tie_y{};     // equal-value run gather buffer
+  std::vector<uint8_t> side{};     // columns.rows(), split side per row id
   uint64_t split_evals = 0;
 };
 

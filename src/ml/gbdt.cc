@@ -251,19 +251,29 @@ Status Gbdt::Fit(const TabularDataset& data) {
         uint64_t evals = 0;
         double left_g[256];
         double left_h[256];
+        uint8_t kept[256];  // the splits the gain scan evaluates
         for (size_t j = j0; j < j1; ++j) {
           const Double2* bin = bins + offset[j];
           // Splits after bins 0 .. splits - 1; the last bin has no split.
           const size_t splits = offset[j + 1] - offset[j] - 1;
+          // An empty bin leaves both prefix sums as they were, so its gain
+          // repeats the previous split's bit for bit, and the strict `>`
+          // below can never pick it. The prefix pass therefore lists split
+          // 0 and each split after a non-empty bin (a branchless append),
+          // and only those are scanned.
           Double2 left = {0.0, 0.0};
+          size_t num_kept = 0;
           for (size_t b = 0; b < splits; ++b) {
             left += bin[b];
             left_g[b] = left[0];
             left_h[b] = left[1];
+            kept[num_kept] = static_cast<uint8_t>(b);
+            num_kept += (b == 0) | (bin[b][1] != 0.0);
           }
           // left.h is an exact non-decreasing count and right.h = total.h -
           // left.h, so the splits passing min_child_weight on both sides
-          // are one contiguous range [lo, hi).
+          // are one contiguous range [lo, hi). Split lo is listed: it is
+          // split 0, or its bin holds the rows that first reach the weight.
           size_t lo = 0;
           while (lo < splits && left_h[lo] < config.min_child_weight) ++lo;
           size_t hi = splits;
@@ -272,26 +282,32 @@ Status Gbdt::Fit(const TabularDataset& data) {
             --hi;
           }
           evals += hi - lo;
+          size_t first = 0;
+          while (first < num_kept && kept[first] < lo) ++first;
+          while (num_kept > first && kept[num_kept - 1] >= hi) --num_kept;
           // Gains two at a time, then a scalar tail; the arg-best takes the
           // same strict `>` in ascending split order as a one-by-one scan.
           double best_gain = 0.0;
           size_t best_bin = 0;
-          size_t b = lo;
-          for (; b + 2 <= hi; b += 2) {
+          size_t t = first;
+          for (; t + 2 <= num_kept; t += 2) {
+            const size_t b0 = kept[t];
+            const size_t b1 = kept[t + 1];
             const Double2 gain = SplitGain(
-                Double2{left_g[b], left_g[b + 1]},
-                Double2{left_h[b], left_h[b + 1]}, total.g, total.h, lambda,
+                Double2{left_g[b0], left_g[b1]},
+                Double2{left_h[b0], left_h[b1]}, total.g, total.h, lambda,
                 parent_score, config.gamma);
             if (gain[0] > best_gain) {
               best_gain = gain[0];
-              best_bin = b;
+              best_bin = b0;
             }
             if (gain[1] > best_gain) {
               best_gain = gain[1];
-              best_bin = b + 1;
+              best_bin = b1;
             }
           }
-          for (; b < hi; ++b) {
+          if (t < num_kept) {
+            const size_t b = kept[t];
             const double gain =
                 SplitGain(left_g[b], left_h[b], total.g, total.h, lambda,
                           parent_score, config.gamma);

@@ -61,9 +61,12 @@ struct KernelBackend {
   // backends may contract to FMA (ulp envelope, like axpy); the scalar
   // backend performs the two-rounding mul-then-add sequence.
   void (*mul_add)(double* z, const double* x, const double* y, size_t n);
-  double (*fused_dot_sigmoid_update)(const double* w, double* c,
-                                     double* center_grad, size_t n,
-                                     double label, double lr);
+  // The k dots first, as independent chains each in this backend's `dot`
+  // lane order; then, per element in pair order, the same update operations
+  // as k one-row calls. Bit-identical to those calls within the backend.
+  void (*fused_context_update)(const double* w, double* const* rows,
+                               const double* labels, size_t k,
+                               double* center_grad, size_t n, double lr);
   // Must reproduce the exact per-element accumulate-count-times-then-scale
   // sequence in every backend (the dirty-row merge equivalence relies on
   // it); vectorizing across elements is fine, across the count loop is not.

@@ -106,13 +106,14 @@ void MulAdd(double* z, const double* x, const double* y, size_t n) {
   ActiveBackend().mul_add(z, x, y, n);
 }
 
-// --- Fused skip-gram pair update --------------------------------------------
+// --- Fused skip-gram context update -----------------------------------------
 
-double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,
-                             size_t n, double label, double lr) {
-  TG_COUNT_KERNEL("fused_update");
-  return ActiveBackend().fused_dot_sigmoid_update(w, c, center_grad, n, label,
-                                                  lr);
+void FusedContextUpdate(const double* w, double* const* rows,
+                        const double* labels, size_t k, double* center_grad,
+                        size_t n, double lr) {
+  TG_COUNT_KERNEL("fused_context_update");
+  ActiveBackend().fused_context_update(w, rows, labels, k, center_grad, n,
+                                       lr);
 }
 
 // --- Replica averaging -------------------------------------------------------

@@ -71,18 +71,24 @@ void ScaleAdd(double* y, double alpha, double beta, const double* x, size_t n);
 // arrays may alias.
 void MulAdd(double* z, const double* x, const double* y, size_t n);
 
-// --- Fused skip-gram pair update --------------------------------------------
+// --- Fused skip-gram context update -----------------------------------------
 
-// One positive/negative pair step of skip-gram SGD against center row `w`
-// (read-only here) and context row `c`:
-//   dot = Dot(w, c)                           (kernel order)
-//   g   = (label - TabulatedSigmoid(dot)) * lr
-//   center_grad[i] += g * c[i]   (pre-update c)
-//   c[i]           += g * w[i]
-// Returns g so callers can trace/inspect. `w`, `c` and `center_grad` must
-// not alias (they come from distinct matrices / a local buffer).
-double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,
-                             size_t n, double label, double lr);
+// One skip-gram context step of SGD: k pairs of center row `w` (read-only
+// here) against the context rows rows[0 .. k) with labels labels[0 .. k).
+// Pair j is the word2vec pair update
+//   g_j = (labels[j] - TabulatedSigmoid(Dot(w, rows[j]))) * lr
+//   center_grad[i] += g_j * rows[j][i]   (pre-update row)
+//   rows[j][i]     += g_j * w[i]
+// and each element takes the pairs in order j = 0, 1, ..., so one call is
+// bit-identical to k calls with k = 1. Since `w` does not change and the
+// rows are distinct, no dot depends on an earlier pair's update: backends
+// run the k dots as independent accumulator chains before any update. The
+// rows must therefore be distinct -- a row that repeats within a context
+// starts a new call, so its dot sees the earlier update -- and no row may
+// alias `w` or `center_grad`.
+void FusedContextUpdate(const double* w, double* const* rows,
+                        const double* labels, size_t k, double* center_grad,
+                        size_t n, double lr);
 
 // --- Replica averaging (sharded skip-gram merge) ----------------------------
 

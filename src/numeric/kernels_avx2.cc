@@ -146,25 +146,40 @@ void MulAddAvx2(double* z, const double* x, const double* y, size_t n) {
   for (; i < n; ++i) z[i] += x[i] * y[i];
 }
 
-double FusedDotSigmoidUpdateAvx2(const double* w, double* c,
-                                 double* center_grad, size_t n, double label,
-                                 double lr) {
-  const double g = (label - TabulatedSigmoid(DotAvx2(w, c, n))) * lr;
-  const __m256d vg = _mm256_set1_pd(g);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vc = _mm256_loadu_pd(c + i);
-    const __m256d vw = _mm256_loadu_pd(w + i);
-    _mm256_storeu_pd(center_grad + i,
-                     _mm256_fmadd_pd(vg, vc, _mm256_loadu_pd(center_grad + i)));
-    _mm256_storeu_pd(c + i, _mm256_fmadd_pd(vg, vw, vc));
+// Pairs whose dots FusedContextUpdateAvx2 computes before their updates.
+constexpr size_t kContextBlock = 8;
+
+void FusedContextUpdateAvx2(const double* w, double* const* rows,
+                            const double* labels, size_t k,
+                            double* center_grad, size_t n, double lr) {
+  for (size_t j0 = 0; j0 < k; j0 += kContextBlock) {
+    const size_t kb = k - j0 < kContextBlock ? k - j0 : kContextBlock;
+    double* const* block = rows + j0;
+    double g[kContextBlock];
+    __m256d vg[kContextBlock];
+    for (size_t j = 0; j < kb; ++j) {
+      g[j] = (labels[j0 + j] - TabulatedSigmoid(DotAvx2(w, block[j], n))) * lr;
+      vg[j] = _mm256_set1_pd(g[j]);
+    }
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m256d vw = _mm256_loadu_pd(w + i);
+      __m256d vcg = _mm256_loadu_pd(center_grad + i);
+      for (size_t j = 0; j < kb; ++j) {
+        const __m256d vc = _mm256_loadu_pd(block[j] + i);
+        vcg = _mm256_fmadd_pd(vg[j], vc, vcg);
+        _mm256_storeu_pd(block[j] + i, _mm256_fmadd_pd(vg[j], vw, vc));
+      }
+      _mm256_storeu_pd(center_grad + i, vcg);
+    }
+    for (; i < n; ++i) {
+      for (size_t j = 0; j < kb; ++j) {
+        const double ci = block[j][i];
+        center_grad[i] += g[j] * ci;
+        block[j][i] = ci + g[j] * w[i];
+      }
+    }
   }
-  for (; i < n; ++i) {
-    const double ci = c[i];
-    center_grad[i] += g * ci;
-    c[i] = ci + g * w[i];
-  }
-  return g;
 }
 
 void ReplicatedMeanAvx2(double* y, size_t count, double inv, size_t n) {
@@ -195,7 +210,7 @@ const KernelBackend kAvx2Backend = {
     AxpyAvx2,
     ScaleAddAvx2,
     MulAddAvx2,
-    FusedDotSigmoidUpdateAvx2,
+    FusedContextUpdateAvx2,
     ReplicatedMeanAvx2,
 };
 

@@ -20,6 +20,18 @@ inline __mmask8 TailMask(size_t remaining) {
   return static_cast<__mmask8>((1u << remaining) - 1u);
 }
 
+// The reduction tree of _mm512_reduce_add_pd: upper + lower 256-bit half,
+// then upper + lower 128-bit half, then the two lanes. Full-mask extracts
+// keep GCC's undefined-value placeholder, which draws -Wuninitialized, out
+// of the build.
+inline double HorizontalSum(__m512d v) {
+  const __m256d quad = _mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xFF, v, 1),
+                                     _mm512_maskz_extractf64x4_pd(0xFF, v, 0));
+  const __m128d pair = _mm_add_pd(_mm256_extractf128_pd(quad, 1),
+                                  _mm256_castpd256_pd128(quad));
+  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
+}
+
 double DotAvx512(const double* a, const double* b, size_t n) {
   __m512d acc0 = _mm512_setzero_pd();
   __m512d acc1 = _mm512_setzero_pd();
@@ -34,7 +46,7 @@ double DotAvx512(const double* a, const double* b, size_t n) {
     acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i),
                            acc0);
   }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
+  double total = HorizontalSum(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
 }
@@ -50,7 +62,7 @@ double SumAvx512(const double* a, size_t n) {
   for (; i + 8 <= n; i += 8) {
     acc0 = _mm512_add_pd(acc0, _mm512_loadu_pd(a + i));
   }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
+  double total = HorizontalSum(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) total += a[i];
   return total;
 }
@@ -160,28 +172,100 @@ void MulAddAvx512(double* z, const double* x, const double* y, size_t n) {
   }
 }
 
-double FusedDotSigmoidUpdateAvx512(const double* w, double* c,
-                                   double* center_grad, size_t n, double label,
-                                   double lr) {
-  const double g = (label - TabulatedSigmoid(DotAvx512(w, c, n))) * lr;
-  const __m512d vg = _mm512_set1_pd(g);
+// K pairs of FusedContextUpdate. Each dot is DotAvx512's chain (two
+// accumulators over 16-element steps, one 8-element step, HorizontalSum,
+// scalar tail), run for all K rows in the same loop so the chains overlap.
+// The update then makes one pass over center_grad, applying pair j's two
+// FMAs per element in pair order, as K one-row calls would. The pair loops
+// must unroll so the accumulators stay in registers; -O2 alone keeps them in
+// memory.
+template <size_t K>
+void ContextBlockAvx512(const double* w, double* const* rows,
+                        const double* labels, double* center_grad, size_t n,
+                        double lr) {
+  __m512d acc0[K];
+  __m512d acc1[K];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < K; ++j) {
+    acc0[j] = _mm512_setzero_pd();
+    acc1[j] = _mm512_setzero_pd();
+  }
   size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512d w0 = _mm512_loadu_pd(w + i);
+    const __m512d w1 = _mm512_loadu_pd(w + i + 8);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < K; ++j) {
+      acc0[j] = _mm512_fmadd_pd(w0, _mm512_loadu_pd(rows[j] + i), acc0[j]);
+      acc1[j] = _mm512_fmadd_pd(w1, _mm512_loadu_pd(rows[j] + i + 8), acc1[j]);
+    }
+  }
   for (; i + 8 <= n; i += 8) {
-    const __m512d vc = _mm512_loadu_pd(c + i);
+    const __m512d w0 = _mm512_loadu_pd(w + i);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < K; ++j) {
+      acc0[j] = _mm512_fmadd_pd(w0, _mm512_loadu_pd(rows[j] + i), acc0[j]);
+    }
+  }
+  __m512d vg[K];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < K; ++j) {
+    double dot = HorizontalSum(_mm512_add_pd(acc0[j], acc1[j]));
+    for (size_t t = i; t < n; ++t) dot += w[t] * rows[j][t];
+    vg[j] = _mm512_set1_pd((labels[j] - TabulatedSigmoid(dot)) * lr);
+  }
+
+  for (i = 0; i + 8 <= n; i += 8) {
     const __m512d vw = _mm512_loadu_pd(w + i);
-    _mm512_storeu_pd(center_grad + i,
-                     _mm512_fmadd_pd(vg, vc, _mm512_loadu_pd(center_grad + i)));
-    _mm512_storeu_pd(c + i, _mm512_fmadd_pd(vg, vw, vc));
+    __m512d vcg = _mm512_loadu_pd(center_grad + i);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < K; ++j) {
+      const __m512d vc = _mm512_loadu_pd(rows[j] + i);
+      vcg = _mm512_fmadd_pd(vg[j], vc, vcg);
+      _mm512_storeu_pd(rows[j] + i, _mm512_fmadd_pd(vg[j], vw, vc));
+    }
+    _mm512_storeu_pd(center_grad + i, vcg);
   }
   if (i < n) {
     const __mmask8 m = TailMask(n - i);
-    const __m512d vc = _mm512_maskz_loadu_pd(m, c + i);
     const __m512d vw = _mm512_maskz_loadu_pd(m, w + i);
-    const __m512d vcg = _mm512_maskz_loadu_pd(m, center_grad + i);
-    _mm512_mask_storeu_pd(center_grad + i, m, _mm512_fmadd_pd(vg, vc, vcg));
-    _mm512_mask_storeu_pd(c + i, m, _mm512_fmadd_pd(vg, vw, vc));
+    __m512d vcg = _mm512_maskz_loadu_pd(m, center_grad + i);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < K; ++j) {
+      const __m512d vc = _mm512_maskz_loadu_pd(m, rows[j] + i);
+      vcg = _mm512_fmadd_pd(vg[j], vc, vcg);
+      _mm512_mask_storeu_pd(rows[j] + i, m, _mm512_fmadd_pd(vg[j], vw, vc));
+    }
+    _mm512_mask_storeu_pd(center_grad + i, m, vcg);
   }
-  return g;
+}
+
+// Runs k <= K pairs as one block.
+template <size_t K>
+void ContextTailAvx512(const double* w, double* const* rows,
+                       const double* labels, size_t k, double* center_grad,
+                       size_t n, double lr) {
+  if constexpr (K > 1) {
+    if (k < K) {
+      ContextTailAvx512<K - 1>(w, rows, labels, k, center_grad, n, lr);
+      return;
+    }
+  }
+  ContextBlockAvx512<K>(w, rows, labels, center_grad, n, lr);
+}
+
+// Blocks of eight pairs (16 dot accumulators), so a context of the
+// default five negatives is one block.
+void FusedContextUpdateAvx512(const double* w, double* const* rows,
+                              const double* labels, size_t k,
+                              double* center_grad, size_t n, double lr) {
+  size_t j = 0;
+  for (; j + 8 <= k; j += 8) {
+    ContextBlockAvx512<8>(w, rows + j, labels + j, center_grad, n, lr);
+  }
+  if (j < k) {
+    ContextTailAvx512<7>(w, rows + j, labels + j, k - j, center_grad, n, lr);
+  }
 }
 
 void ReplicatedMeanAvx512(double* y, size_t count, double inv, size_t n) {
@@ -213,7 +297,7 @@ const KernelBackend kAvx512Backend = {
     AxpyAvx512,
     ScaleAddAvx512,
     MulAddAvx512,
-    FusedDotSigmoidUpdateAvx512,
+    FusedContextUpdateAvx512,
     ReplicatedMeanAvx512,
 };
 

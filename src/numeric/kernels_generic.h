@@ -124,29 +124,45 @@ inline void MulAdd(double* __restrict z, const double* __restrict x,
   for (size_t i = main; i < n; ++i) z[i] += x[i] * y[i];
 }
 
-inline double FusedDotSigmoidUpdate(const double* __restrict w,
-                                    double* __restrict c,
-                                    double* __restrict center_grad, size_t n,
-                                    double label, double lr) {
-  const double g = (label - TabulatedSigmoid(Dot(w, c, n))) * lr;
+// Pairs whose dots FusedContextUpdate computes before their updates; a
+// longer context runs as consecutive blocks, which the distinct-rows
+// contract makes equal to one pass.
+inline constexpr size_t kContextBlock = 8;
+
+inline void FusedContextUpdate(const double* __restrict w,
+                               double* const* rows, const double* labels,
+                               size_t k, double* __restrict center_grad,
+                               size_t n, double lr) {
   const size_t main = n & ~static_cast<size_t>(3);
-  for (size_t i = 0; i < main; i += 4) {
-    const double c0 = c[i], c1 = c[i + 1], c2 = c[i + 2], c3 = c[i + 3];
-    center_grad[i] += g * c0;
-    center_grad[i + 1] += g * c1;
-    center_grad[i + 2] += g * c2;
-    center_grad[i + 3] += g * c3;
-    c[i] = c0 + g * w[i];
-    c[i + 1] = c1 + g * w[i + 1];
-    c[i + 2] = c2 + g * w[i + 2];
-    c[i + 3] = c3 + g * w[i + 3];
+  for (size_t j0 = 0; j0 < k; j0 += kContextBlock) {
+    const size_t kb = k - j0 < kContextBlock ? k - j0 : kContextBlock;
+    double* const* block = rows + j0;
+    double g[kContextBlock];
+    for (size_t j = 0; j < kb; ++j) {
+      g[j] = (labels[j0 + j] - TabulatedSigmoid(Dot(w, block[j], n))) * lr;
+    }
+    for (size_t i = 0; i < main; i += 4) {
+      for (size_t j = 0; j < kb; ++j) {
+        double* c = block[j];
+        const double c0 = c[i], c1 = c[i + 1], c2 = c[i + 2], c3 = c[i + 3];
+        center_grad[i] += g[j] * c0;
+        center_grad[i + 1] += g[j] * c1;
+        center_grad[i + 2] += g[j] * c2;
+        center_grad[i + 3] += g[j] * c3;
+        c[i] = c0 + g[j] * w[i];
+        c[i + 1] = c1 + g[j] * w[i + 1];
+        c[i + 2] = c2 + g[j] * w[i + 2];
+        c[i + 3] = c3 + g[j] * w[i + 3];
+      }
+    }
+    for (size_t i = main; i < n; ++i) {
+      for (size_t j = 0; j < kb; ++j) {
+        const double ci = block[j][i];
+        center_grad[i] += g[j] * ci;
+        block[j][i] = ci + g[j] * w[i];
+      }
+    }
   }
-  for (size_t i = main; i < n; ++i) {
-    const double ci = c[i];
-    center_grad[i] += g * ci;
-    c[i] = ci + g * w[i];
-  }
-  return g;
 }
 
 inline void ReplicatedMean(double* y, size_t count, double inv, size_t n) {

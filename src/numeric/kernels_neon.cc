@@ -104,25 +104,40 @@ void MulAddNeon(double* z, const double* x, const double* y, size_t n) {
   for (; i < n; ++i) z[i] += x[i] * y[i];
 }
 
-double FusedDotSigmoidUpdateNeon(const double* w, double* c,
-                                 double* center_grad, size_t n, double label,
-                                 double lr) {
-  const double g = (label - TabulatedSigmoid(DotNeon(w, c, n))) * lr;
-  const float64x2_t vg = vdupq_n_f64(g);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t vc = vld1q_f64(c + i);
-    const float64x2_t vw = vld1q_f64(w + i);
-    vst1q_f64(center_grad + i,
-              vfmaq_f64(vld1q_f64(center_grad + i), vg, vc));
-    vst1q_f64(c + i, vfmaq_f64(vc, vg, vw));
+// Pairs whose dots FusedContextUpdateNeon computes before their updates.
+constexpr size_t kContextBlock = 8;
+
+void FusedContextUpdateNeon(const double* w, double* const* rows,
+                            const double* labels, size_t k,
+                            double* center_grad, size_t n, double lr) {
+  for (size_t j0 = 0; j0 < k; j0 += kContextBlock) {
+    const size_t kb = k - j0 < kContextBlock ? k - j0 : kContextBlock;
+    double* const* block = rows + j0;
+    double g[kContextBlock];
+    float64x2_t vg[kContextBlock];
+    for (size_t j = 0; j < kb; ++j) {
+      g[j] = (labels[j0 + j] - TabulatedSigmoid(DotNeon(w, block[j], n))) * lr;
+      vg[j] = vdupq_n_f64(g[j]);
+    }
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const float64x2_t vw = vld1q_f64(w + i);
+      float64x2_t vcg = vld1q_f64(center_grad + i);
+      for (size_t j = 0; j < kb; ++j) {
+        const float64x2_t vc = vld1q_f64(block[j] + i);
+        vcg = vfmaq_f64(vcg, vg[j], vc);
+        vst1q_f64(block[j] + i, vfmaq_f64(vc, vg[j], vw));
+      }
+      vst1q_f64(center_grad + i, vcg);
+    }
+    for (; i < n; ++i) {
+      for (size_t j = 0; j < kb; ++j) {
+        const double ci = block[j][i];
+        center_grad[i] += g[j] * ci;
+        block[j][i] = ci + g[j] * w[i];
+      }
+    }
   }
-  for (; i < n; ++i) {
-    const double ci = c[i];
-    center_grad[i] += g * ci;
-    c[i] = ci + g * w[i];
-  }
-  return g;
 }
 
 void ReplicatedMeanNeon(double* y, size_t count, double inv, size_t n) {
@@ -153,7 +168,7 @@ const KernelBackend kNeonBackend = {
     AxpyNeon,
     ScaleAddNeon,
     MulAddNeon,
-    FusedDotSigmoidUpdateNeon,
+    FusedContextUpdateNeon,
     ReplicatedMeanNeon,
 };
 

@@ -20,7 +20,7 @@ const KernelBackend kScalarBackend = {
     generic::Axpy,
     generic::ScaleAdd,
     generic::MulAdd,
-    generic::FusedDotSigmoidUpdate,
+    generic::FusedContextUpdate,
     generic::ReplicatedMean,
 };
 

@@ -104,6 +104,13 @@ void ElementwiseCase(void (*op)(double*, const double*, size_t), size_t n,
   hash->Add(y);
 }
 
+// A pair's gradient scale g = (label - TabulatedSigmoid(w . c)) * lr, from
+// backend k's dot; the fused context update applies exactly this g.
+double PairGradient(const kernels::KernelBackend& k, const double* w,
+                    const double* c, size_t n, double label, double lr) {
+  return (label - kernels::TabulatedSigmoid(k.dot(w, c, n))) * lr;
+}
+
 struct PinnedEntry {
   const char* name;
   uint64_t hash;
@@ -171,7 +178,7 @@ const PinnedEntry kScalarPinnedEntries[] = {
        k.mul_add(z.data() + off, x.data() + off, y.data() + off, n);
        hash->Add(z);
      }},
-    {"fused_dot_sigmoid_update", 0xb1c021367cbb9928ULL,
+    {"fused_context_update k=1", 0xb1c021367cbb9928ULL,
      [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
         BitHash* hash) {
        std::vector<double> w(n + 1), c(n + 1), grad(n + 1);
@@ -182,9 +189,41 @@ const PinnedEntry kScalarPinnedEntries[] = {
        }
        const double label = rng->NextBernoulli(0.5) ? 1.0 : 0.0;
        const double lr = rng->NextUniform(0.001, 0.05);
-       hash->Add(k.fused_dot_sigmoid_update(w.data() + off, c.data() + off,
-                                            grad.data() + off, n, label, lr));
+       double* rows[] = {c.data() + off};
+       hash->Add(PairGradient(k, w.data() + off, rows[0], n, label, lr));
+       k.fused_context_update(w.data() + off, rows, &label, 1,
+                              grad.data() + off, n, lr);
        hash->Add(c);
+       hash->Add(grad);
+     }},
+    // Recorded from six sequential one-pair calls of the former
+    // fused_dot_sigmoid_update entry.
+    {"fused_context_update k=6", 0xcb366e8b3f298bd0ULL,
+     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
+        BitHash* hash) {
+       constexpr size_t kPairs = 6;
+       std::vector<double> w(n + 1), grad(n + 1);
+       std::vector<std::vector<double>> c(kPairs, std::vector<double>(n + 1));
+       for (size_t i = 0; i <= n; ++i) {
+         w[i] = rng->NextUniform(-1.0, 1.0);
+         for (std::vector<double>& row : c) {
+           row[i] = rng->NextUniform(-1.0, 1.0);
+         }
+         grad[i] = rng->NextUniform(-1.0, 1.0);
+       }
+       double labels[kPairs];
+       double* rows[kPairs];
+       for (size_t j = 0; j < kPairs; ++j) {
+         labels[j] = rng->NextBernoulli(0.5) ? 1.0 : 0.0;
+         rows[j] = c[j].data() + off;
+       }
+       const double lr = rng->NextUniform(0.001, 0.05);
+       for (size_t j = 0; j < kPairs; ++j) {
+         hash->Add(PairGradient(k, w.data() + off, rows[j], n, labels[j], lr));
+       }
+       k.fused_context_update(w.data() + off, rows, labels, kPairs,
+                              grad.data() + off, n, lr);
+       for (const std::vector<double>& row : c) hash->Add(row);
        hash->Add(grad);
      }},
     {"replicated_mean", 0x19958c649b2b7670ULL,
@@ -267,10 +306,13 @@ TEST_F(KernelsTest, ScalarBackendMatchesSeedGoldenBits) {
     w[i] = rng2.NextUniform(-1.0, 1.0);
     c[i] = rng2.NextUniform(-1.0, 1.0);
   }
-  const double g =
-      kernels::FusedDotSigmoidUpdate(w.data(), c.data(), grad.data(), n, 1.0,
-                                     0.025);
+  const double g = PairGradient(kernels::ScalarBackend(), w.data(), c.data(),
+                                n, 1.0, 0.025);
   EXPECT_EQ(BitsOf(g), 0x3f75d0f73511a4aaULL);
+  double* rows[] = {c.data()};
+  const double label = 1.0;
+  kernels::FusedContextUpdate(w.data(), rows, &label, 1, grad.data(), n,
+                              0.025);
   EXPECT_EQ(BitsOf(kernels::Sum(c.data(), n)), 0xc025737e517762c0ULL);
   EXPECT_EQ(BitsOf(kernels::Sum(grad.data(), n)), 0xbfad5b5d17021b38ULL);
 }
@@ -482,15 +524,23 @@ TEST_F(KernelsTest, EveryBackendFusedUpdateWithinEnvelopeOfScalarBackend) {
       const double label = rng.NextBernoulli(0.5) ? 1.0 : 0.0;
       const double lr = rng.NextUniform(0.001, 0.05);
       for (size_t off : {size_t{0}, size_t{1}}) {
-        std::vector<double> c = c_base, grad = grad_base;
-        const double g = kernels::FusedDotSigmoidUpdate(
-            w.data() + off, c.data() + off, grad.data() + off, n, label, lr);
-        const double want_g =
-            (label - kernels::TabulatedSigmoid(
-                         k.dot(w.data() + off, c_base.data() + off, n))) *
-            lr;
-        EXPECT_EQ(BitsOf(g), BitsOf(want_g))
-            << backend << " n=" << n << " off=" << off;
+        const double g =
+            PairGradient(k, w.data() + off, c_base.data() + off, n, label, lr);
+        // From a zero gradient, an FMA and a multiply both round g * c once,
+        // so center_grad shows the kernel's g exactly.
+        std::vector<double> c = c_base, grad(n + 1, 0.0);
+        double* rows[] = {c.data() + off};
+        kernels::FusedContextUpdate(w.data() + off, rows, &label, 1,
+                                    grad.data() + off, n, lr);
+        for (size_t i = off; i < off + n; ++i) {
+          EXPECT_EQ(grad[i], g * c_base[i])
+              << backend << " n=" << n << " off=" << off << " i=" << i;
+        }
+
+        c = c_base;
+        grad = grad_base;
+        kernels::FusedContextUpdate(w.data() + off, rows, &label, 1,
+                                    grad.data() + off, n, lr);
 
         std::vector<double> want_c = c_base, want_grad = grad_base;
         scalar.axpy(g, c_base.data() + off, want_grad.data() + off, n);
@@ -503,6 +553,58 @@ TEST_F(KernelsTest, EveryBackendFusedUpdateWithinEnvelopeOfScalarBackend) {
           EXPECT_NEAR(c[i], want_c[i],
                       4.0 * kEps * (std::abs(g * w[i]) + std::abs(c_base[i])))
               << backend << " n=" << n << " off=" << off << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// The pairs of one context have independent dots, so one k-row call must
+// reproduce k one-row calls bit for bit on every backend, for k across the
+// backends' pair blocks and dims with and without vector tails.
+TEST_F(KernelsTest, EveryBackendContextCallMatchesSequentialPairCalls) {
+  for (const std::string& backend : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    Rng rng(31);
+    for (size_t n : {size_t{7}, size_t{24}, size_t{128}, size_t{129}}) {
+      for (size_t k = 1; k <= 9; ++k) {
+        std::vector<double> w(n);
+        std::vector<double> grad_base(n);
+        std::vector<std::vector<double>> rows_base(k, std::vector<double>(n));
+        for (size_t i = 0; i < n; ++i) {
+          w[i] = rng.NextUniform(-0.5, 0.5);
+          grad_base[i] = rng.NextUniform(-0.1, 0.1);
+          for (std::vector<double>& row : rows_base) {
+            row[i] = rng.NextUniform(-0.5, 0.5);
+          }
+        }
+        std::vector<double> labels(k, 0.0);
+        labels[0] = 1.0;
+        const double lr = rng.NextUniform(0.001, 0.05);
+
+        std::vector<std::vector<double>> fused = rows_base;
+        std::vector<double> fused_grad = grad_base;
+        std::vector<double*> fused_rows;
+        for (std::vector<double>& row : fused) fused_rows.push_back(row.data());
+        kernels::FusedContextUpdate(w.data(), fused_rows.data(), labels.data(),
+                                    k, fused_grad.data(), n, lr);
+
+        std::vector<std::vector<double>> seq = rows_base;
+        std::vector<double> seq_grad = grad_base;
+        for (size_t j = 0; j < k; ++j) {
+          double* row = seq[j].data();
+          kernels::FusedContextUpdate(w.data(), &row, &labels[j], 1,
+                                      seq_grad.data(), n, lr);
+        }
+
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(BitsOf(fused_grad[i]), BitsOf(seq_grad[i]))
+              << backend << " n=" << n << " k=" << k << " i=" << i;
+          for (size_t j = 0; j < k; ++j) {
+            ASSERT_EQ(BitsOf(fused[j][i]), BitsOf(seq[j][i]))
+                << backend << " n=" << n << " k=" << k << " row " << j
+                << " i=" << i;
+          }
         }
       }
     }

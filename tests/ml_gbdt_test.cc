@@ -7,6 +7,8 @@
 
 #include "ml/gbdt.h"
 #include "numeric/stats.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace tg::ml {
@@ -79,6 +81,55 @@ TEST(GbdtTest, PredictionsPinnedAcrossRewrite) {
   EXPECT_EQ(FitHash(defaults, data), 0xb01ef664b6890251ULL);
   EXPECT_EQ(FitHash(subsampled, data), 0x92258d311c97773bULL);
   EXPECT_EQ(FitHash(coarse, data), 0x4477dd98f92d9c2bULL);
+}
+
+// 256 bins over 512 rows, grown 8 deep: a deep node's few rows leave most
+// of a feature's bins empty, and each empty bin repeats the previous split's
+// gain. The alternating 0/1 target makes many non-empty splits tie as well,
+// and column 3 duplicates column 0, so equal gains also meet across
+// features. The unguarded config (min_child_weight = 0, lambda = 0) scans
+// from split 0, where an empty left side gives a 0/0 = NaN gain. Hashes and
+// the split-evaluation count were recorded before the gain scan skipped
+// empty bins; the count still covers every candidate split.
+TEST(GbdtTest, EmptyBinsAndRepeatedGainsPinned) {
+  constexpr size_t kRows = 512;
+  Rng rng(8);
+  TabularDataset data;
+  data.x = Matrix(kRows, 5);
+  data.y.resize(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    data.x(r, 0) = static_cast<double>(r);
+    data.x(r, 1) = static_cast<double>((r * 37) % kRows);
+    data.x(r, 2) = static_cast<double>(r % 5);
+    data.x(r, 3) = data.x(r, 0);
+    data.x(r, 4) = rng.NextGaussian();
+    data.y[r] = static_cast<double>(r % 2) + (r % 5 == 3 ? 0.25 : 0.0);
+  }
+
+  GbdtConfig deep;
+  deep.num_trees = 20;
+  deep.max_depth = 8;
+  deep.max_bins = 256;
+  GbdtConfig unguarded = deep;
+  unguarded.min_child_weight = 0.0;
+  unguarded.lambda = 0.0;
+  GbdtConfig subsampled = deep;
+  subsampled.max_depth = 6;
+  subsampled.subsample = 0.6;
+  subsampled.gamma = 0.05;
+
+  obs::SetMetricsEnabled(true);
+  obs::Counter& evals =
+      obs::MetricsRegistry::Instance().GetCounter("tree.split_evaluations");
+  const uint64_t evals_before = evals.value();
+  const uint64_t deep_hash = FitHash(deep, data);
+  const uint64_t deep_evals = evals.value() - evals_before;
+  obs::SetMetricsEnabled(false);
+
+  EXPECT_EQ(deep_hash, 0xe66f3d50680a6f55ULL);
+  EXPECT_EQ(deep_evals, 798576u);
+  EXPECT_EQ(FitHash(unguarded, data), 0x994afa5dc858d918ULL);
+  EXPECT_EQ(FitHash(subsampled, data), 0x216e545ff0f75852ULL);
 }
 
 TEST(GbdtTest, TrainRmseDecreasesMonotonically) {

@@ -1,9 +1,15 @@
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "embedding/random_walk.h"
+#include "util/rng.h"
 
 namespace tg {
 namespace {
@@ -237,6 +243,85 @@ TEST(RandomWalkTest, GenerateAllCorpusPinned) {
         extended ? 0x4dba0e69aa33e606ULL : 0x8175dbfcf97b91c1ULL;
     EXPECT_EQ(got, want) << (extended ? "node2vec+" : "node2vec") << std::hex
                          << " got 0x" << got;
+  }
+}
+
+// A dense random multigraph: most pairs are linked, some by two or three
+// typed edges of mixed-magnitude weights (so the summation order over a
+// pair's edges shows in the last bits), a few weights are zero or negative,
+// and degrees differ, so the scan runs over either endpoint's list.
+Graph DenseRandomMultigraph() {
+  Graph g;
+  constexpr int kNodes = 30;
+  for (int i = 0; i < kNodes; ++i) {
+    g.AddNode(NodeType::kDataset, "n" + std::to_string(i));
+  }
+  Rng rng(404);
+  const EdgeType types[] = {EdgeType::kDatasetDataset,
+                            EdgeType::kModelDatasetAccuracy,
+                            EdgeType::kModelDatasetTransferability};
+  for (NodeId a = 0; a < kNodes; ++a) {
+    for (NodeId b = a + 1; b < kNodes; ++b) {
+      if (!rng.NextBernoulli(0.3 + 0.6 * a / kNodes)) continue;
+      const int copies = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int c = 0; c < copies; ++c) {
+        double weight = rng.NextUniform(0.0, 1.0) *
+                        std::pow(10.0, rng.NextUniform(-8.0, 2.0));
+        if (rng.NextBernoulli(0.05)) weight = 0.0;
+        if (rng.NextBernoulli(0.05)) weight = -weight;
+        g.AddUndirectedEdge(a, b, types[rng.NextBelow(3)], weight);
+      }
+    }
+  }
+  return g;
+}
+
+// The Node2Vec / Node2Vec+ bias of candidate x after `prev`, recomputed with
+// a scan of the shorter neighbour list for the (x, prev) weight.
+double ScannedTransitionBias(const Graph& g, const WalkConfig& config,
+                             NodeId prev, NodeId x) {
+  if (x == prev) return 1.0 / config.p;
+  const bool x_shorter = g.degree(x) <= g.degree(prev);
+  const NodeId other = x_shorter ? prev : x;
+  double w_xt = 0.0;
+  for (const Neighbor& n : g.neighbors(x_shorter ? x : prev)) {
+    if (n.node == other) w_xt += std::max(n.weight, 0.0);
+  }
+  if (!config.extended) return w_xt > 0.0 ? 1.0 : 1.0 / config.q;
+  auto mean_incident = [&](NodeId v) {
+    if (g.degree(v) == 0) return 0.0;
+    double total = 0.0;
+    for (const Neighbor& n : g.neighbors(v)) total += std::max(n.weight, 1e-9);
+    return total / static_cast<double>(g.degree(v));
+  };
+  const double thr =
+      std::max(std::min(mean_incident(x), mean_incident(prev)), 1e-12);
+  const double strength = std::min(1.0, w_xt / thr);
+  const double inv_q = 1.0 / config.q;
+  return inv_q + (1.0 - inv_q) * strength;
+}
+
+// The pair-weight table must give every ordered pair, adjacent or not, the
+// bias the neighbour-list scan gives, bit for bit.
+TEST(RandomWalkTest, TransitionBiasMatchesNeighbourScanOnEveryPair) {
+  for (const Graph& g : {TypedMultigraph(), DenseRandomMultigraph()}) {
+    for (bool extended : {false, true}) {
+      WalkConfig config;
+      config.p = 2.0;
+      config.q = 0.5;
+      config.extended = extended;
+      RandomWalkGenerator walker(g, config);
+      for (NodeId prev = 0; prev < g.num_nodes(); ++prev) {
+        for (NodeId x = 0; x < g.num_nodes(); ++x) {
+          const double got = walker.TransitionBias(prev, x);
+          const double want = ScannedTransitionBias(g, config, prev, x);
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+              << g.num_nodes() << " nodes, extended=" << extended
+              << " prev=" << prev << " x=" << x << ": " << got << " vs "
+              << want;
+        }
+      }
+    }
   }
 }
 

@@ -52,7 +52,8 @@ done
 section() { printf '\n=== %s ===\n' "$1"; }
 
 section "Release build + tests"
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+# -Werror: the Release build stays warning-free at -Wall -Wextra.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure
 
