@@ -60,17 +60,8 @@ void Adam::Step() {
     Matrix& m = m_[i];
     Matrix& v = v_[i];
     kernels::ScaleAdd(m.data(), beta1_, 1.0 - beta1_, gd, n);
-    double* vd = v.data();
-    double* value = p->mutable_value().data();
-    const double* md = m.data();
-    const double beta2 = beta2_;
-    const double one_minus_beta2 = 1.0 - beta2_;
-    for (size_t j = 0; j < n; ++j) {
-      vd[j] = beta2 * vd[j] + one_minus_beta2 * gd[j] * gd[j];
-      const double m_hat = md[j] / bc1;
-      const double v_hat = vd[j] / bc2;
-      value[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    kernels::AdamUpdate(p->mutable_value().data(), m.data(), v.data(), gd, n,
+                        {beta2_, 1.0 - beta2_, bc1, bc2, lr_, eps_});
   }
 }
 

@@ -36,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "numeric/kernels.h"
+
 namespace tg::kernels {
 
 // Per-backend implementations of the dense kernels in kernels.h. Semantics
@@ -71,6 +73,27 @@ struct KernelBackend {
   // sequence in every backend (the dirty-row merge equivalence relies on
   // it); vectorizing across elements is fine, across the count loop is not.
   void (*replicated_mean)(double* y, size_t count, double inv, size_t n);
+
+  // Kernels::Gemm. Several output rows share each load of a row of b: four
+  // in the scalar, avx2 and neon backends (numeric/gemm_row_blocks.h), and
+  // 8 x 16 register tiles with per-row FMA masks in avx512. Per element the
+  // terms still arrive with k ascending, zero coefficients skipped, each
+  // through this backend's `axpy` operation, so the bits equal row-by-row
+  // `axpy` calls.
+  void (*gemm)(size_t m, size_t n, size_t k, const double* a,
+               size_t a_row_stride, size_t a_k_stride, const double* b,
+               double* out);
+  // Kernels::MatMulTransposed: the (i, j) loop runs inside the backend TU,
+  // each element one call of this backend's `dot`.
+  void (*matmul_transposed)(size_t m, size_t p, size_t n, const double* a,
+                            const double* b, double* out);
+  // Kernels::AdamUpdate. Each operation rounds on its own: the base x86 ISA
+  // has no FMA, and the avx TUs, where GCC would contract intrinsic
+  // mul-then-add pairs too, compile this entry with contraction turned off.
+  // So on x86 it is bit-identical across backends; on aarch64 every backend
+  // runs the same C++ loop as the base TU.
+  void (*adam_update)(double* value, const double* m, double* v,
+                      const double* g, size_t n, const AdamCoefficients& c);
 };
 
 // The fixed-order scalar table; always compiled, always supported.

@@ -12,32 +12,30 @@
 #include "obs/trace.h"
 
 namespace tg::kernels {
-namespace {
+namespace internal {
 
 // Midpoint-sampled sigmoid table over [-kSigmoidClip, kSigmoidClip]. Bucket
 // width 2 * clip / size; with clip 8 and 4096 entries the midpoint error is
 // bounded by (width / 2) * max|sigmoid'| = (1/256) / 2 / 4 < 5e-4, and the
 // 0/1 clamp outside contributes sigmoid(-8) < 3.4e-4.
-struct SigmoidTable {
-  double values[kSigmoidTableSize];
-  SigmoidTable() {
-    const double width = 2.0 * kSigmoidClip / static_cast<double>(kSigmoidTableSize);
-    for (size_t i = 0; i < kSigmoidTableSize; ++i) {
-      const double x =
-          -kSigmoidClip + (static_cast<double>(i) + 0.5) * width;
-      values[i] = ExactSigmoid(x);
-    }
+SigmoidTable::SigmoidTable() {
+  const double width =
+      2.0 * kSigmoidClip / static_cast<double>(kSigmoidTableSize);
+  for (size_t i = 0; i < kSigmoidTableSize; ++i) {
+    const double x = -kSigmoidClip + (static_cast<double>(i) + 0.5) * width;
+    values[i] = ExactSigmoid(x);
   }
-};
-
-const SigmoidTable& Table() {
-  static const SigmoidTable table;
-  return table;
 }
 
-// Per-kernel invocation counters for the ISSUE-level kernels, resolved once
-// per site and gated on MetricsEnabled so disabled runs pay one predictable
-// branch per call.
+const SigmoidTable kSigmoidTable;
+
+}  // namespace internal
+
+namespace {
+
+// Per-kernel invocation counters for the hot kernels, resolved once per
+// site and gated on MetricsEnabled, whose disabled path is one inline
+// relaxed load and branch.
 #define TG_COUNT_KERNEL(event)                                        \
   do {                                                                \
     if (obs::MetricsEnabled()) {                                      \
@@ -54,18 +52,6 @@ double ExactSigmoid(double x) {
   if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
   const double e = std::exp(x);
   return e / (1.0 + e);
-}
-
-double TabulatedSigmoid(double x) {
-  if (x >= kSigmoidClip) return 1.0;
-  if (x < -kSigmoidClip) return 0.0;
-  // NaN fails both clip tests; converting it to an index is undefined.
-  if (std::isnan(x)) return x;
-  const double scale =
-      static_cast<double>(kSigmoidTableSize) / (2.0 * kSigmoidClip);
-  size_t index = static_cast<size_t>((x + kSigmoidClip) * scale);
-  if (index >= kSigmoidTableSize) index = kSigmoidTableSize - 1;
-  return Table().values[index];
 }
 
 // --- Reductions --------------------------------------------------------------
@@ -114,6 +100,28 @@ void FusedContextUpdate(const double* w, double* const* rows,
   TG_COUNT_KERNEL("fused_context_update");
   ActiveBackend().fused_context_update(w, rows, labels, k, center_grad, n,
                                        lr);
+}
+
+// --- Matrix products -------------------------------------------------------
+
+void Gemm(size_t m, size_t n, size_t k, const double* a, size_t a_row_stride,
+          size_t a_k_stride, const double* b, double* out) {
+  TG_COUNT_KERNEL("gemm");
+  ActiveBackend().gemm(m, n, k, a, a_row_stride, a_k_stride, b, out);
+}
+
+void MatMulTransposed(size_t m, size_t p, size_t n, const double* a,
+                      const double* b, double* out) {
+  TG_COUNT_KERNEL("matmul_transposed");
+  ActiveBackend().matmul_transposed(m, p, n, a, b, out);
+}
+
+// --- Adam ------------------------------------------------------------------
+
+void AdamUpdate(double* value, const double* m, double* v, const double* g,
+                size_t n, const AdamCoefficients& c) {
+  TG_COUNT_KERNEL("adam_update");
+  ActiveBackend().adam_update(value, m, v, g, n, c);
 }
 
 // --- Replica averaging -------------------------------------------------------

@@ -30,6 +30,7 @@
 #ifndef TG_NUMERIC_KERNELS_H_
 #define TG_NUMERIC_KERNELS_H_
 
+#include <cmath>
 #include <cstddef>
 
 namespace tg::kernels {
@@ -42,9 +43,32 @@ inline constexpr size_t kSigmoidTableSize = 4096;
 
 // Overflow-safe exact logistic function (table construction, scoring).
 double ExactSigmoid(double x);
+
+namespace internal {
+// ExactSigmoid at the bucket midpoints, filled once by kernels.cc's static
+// initialiser (no kernel runs before main).
+struct SigmoidTable {
+  SigmoidTable();
+  double values[kSigmoidTableSize];
+};
+extern const SigmoidTable kSigmoidTable;
+}  // namespace internal
+
 // Table lookup (bucket midpoints); exactly 0 / 1 outside the clip range,
-// NaN for NaN. The form training uses.
-double TabulatedSigmoid(double x);
+// NaN for NaN. The form training uses. Internal linkage: the vector backend
+// TUs include this header under their own ISA flags, so a shared out-of-line
+// copy could hand their instructions to a base-ISA caller.
+static inline double TabulatedSigmoid(double x) {
+  if (x >= kSigmoidClip) return 1.0;
+  if (x < -kSigmoidClip) return 0.0;
+  // NaN fails both clip tests; converting it to an index is undefined.
+  if (std::isnan(x)) return x;
+  const double scale =
+      static_cast<double>(kSigmoidTableSize) / (2.0 * kSigmoidClip);
+  size_t index = static_cast<size_t>((x + kSigmoidClip) * scale);
+  if (index >= kSigmoidTableSize) index = kSigmoidTableSize - 1;
+  return internal::kSigmoidTable.values[index];
+}
 
 // --- Reductions (kernel order) -----------------------------------------------
 
@@ -89,6 +113,49 @@ void MulAdd(double* z, const double* x, const double* y, size_t n);
 void FusedContextUpdate(const double* w, double* const* rows,
                         const double* labels, size_t k, double* center_grad,
                         size_t n, double lr);
+
+// --- Matrix products -------------------------------------------------------
+
+// out += A * B for the m x k matrix A(i, p) = a[i * a_row_stride +
+// p * a_k_stride], the k x n row-major b and the m x n row-major out; the
+// strides let MatMul (k, 1) and TransposedMatMul (1, m) share the entry.
+// Each output row takes its terms with p ascending, skips every p with
+// A(i, p) == 0 -- so an inf or NaN in row p of b reaches only the rows that
+// use it -- and adds each term with Axpy's per-element operation. One call
+// is therefore bit-identical, within a backend, to Axpy(A(i, p), b row p,
+// out row i) over the non-zero A(i, p), row by row. out must not overlap a
+// or b.
+void Gemm(size_t m, size_t n, size_t k, const double* a, size_t a_row_stride,
+          size_t a_k_stride, const double* b, double* out);
+
+// out[i * p + j] = Dot(a row i, b row j, n) for the m x n row-major a, the
+// p x n row-major b and the m x p row-major out: this backend's Dot, bit
+// for bit.
+void MatMulTransposed(size_t m, size_t p, size_t n, const double* a,
+                      const double* b, double* out);
+
+// --- Adam ------------------------------------------------------------------
+
+// The step-constant scalars of one Adam update.
+struct AdamCoefficients {
+  double beta2;
+  double one_minus_beta2;
+  double bias_correction1;  // 1 - beta1^t
+  double bias_correction2;  // 1 - beta2^t
+  double lr;
+  double eps;
+};
+
+// Adam's second-moment and parameter update, given the first moment m
+// already updated for this step. Per element, in this order and with each
+// operation rounded on its own (no FMA):
+//   v[i] = beta2 * v[i] + one_minus_beta2 * g[i] * g[i]
+//   value[i] -= lr * (m[i] / bias_correction1)
+//               / (sqrt(v[i] / bias_correction2) + eps)
+// which is bit-identical across every backend on x86 (the base ISA has no
+// FMA, and the vector TUs compile the entry with contraction off).
+void AdamUpdate(double* value, const double* m, double* v, const double* g,
+                size_t n, const AdamCoefficients& c);
 
 // --- Replica averaging (sharded skip-gram merge) ----------------------------
 

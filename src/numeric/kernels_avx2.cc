@@ -14,6 +14,12 @@
 //   * ReplicatedMean keeps the per-element accumulate-count-times-then-scale
 //     sequence (vectorized across elements, never across the count loop) and
 //     uses no FMA, so it too is bit-identical to the scalar backend.
+//   * Gemm adds each term with Axpy's FMA and MatMulTransposed is one
+//     DotAvx2 per element, so both match row loops over this backend's
+//     Axpy and Dot bit for bit.
+//   * AdamUpdate rounds every operation on its own (contraction off), so it
+//     is bit-identical to the scalar backend.
+#include "numeric/gemm_row_blocks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
 
@@ -113,15 +119,33 @@ void ScaleAvx2(double* y, double s, size_t n) {
   for (; i < n; ++i) y[i] *= s;
 }
 
-void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i,
-        _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
+// Axpy's operation on R distinct rows y[r] += alpha[r] * x, one load of x
+// per vector for all R rows: the `axpy` entry (R = 1) and the Gemm row
+// block. The scalar tail contracts to FMA like the vector body.
+struct Avx2Rows {
+  template <size_t R>
+  static void AxpyRows(const double* alpha, const double* x, double* const* y,
+                       size_t n) {
+    __m256d va[R];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) va[r] = _mm256_set1_pd(alpha[r]);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m256d vx = _mm256_loadu_pd(x + i);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < R; ++r) {
+        _mm256_storeu_pd(y[r] + i, _mm256_fmadd_pd(va[r], vx,
+                                                   _mm256_loadu_pd(y[r] + i)));
+      }
+    }
+    for (; i < n; ++i) {
+      for (size_t r = 0; r < R; ++r) y[r][i] += alpha[r] * x[i];
+    }
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+};
+
+void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
+  Avx2Rows::AxpyRows<1>(&alpha, x, &y, n);
 }
 
 void ScaleAddAvx2(double* y, double alpha, double beta, const double* x,
@@ -199,6 +223,62 @@ void ReplicatedMeanAvx2(double* y, size_t count, double inv, size_t n) {
   }
 }
 
+void MatMulTransposedAvx2(size_t m, size_t p, size_t n, const double* a,
+                          const double* b, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < p; ++j) {
+      out[i * p + j] = DotAvx2(a + i * n, b + j * n, n);
+    }
+  }
+}
+
+// Adam's update with each operation rounded on its own, as the base TU
+// computes it: GCC contracts intrinsic mul-then-add pairs into FMAs under
+// its default -ffp-contract=fast, so contraction is off for these two.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+inline void AdamLanes(const AdamCoefficients& c, __m256d m, __m256d g,
+                      __m256d* v, __m256d* value) {
+  *v = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(c.beta2), *v),
+                     _mm256_mul_pd(
+                         _mm256_mul_pd(_mm256_set1_pd(c.one_minus_beta2), g),
+                         g));
+  const __m256d m_hat = _mm256_div_pd(m, _mm256_set1_pd(c.bias_correction1));
+  const __m256d v_hat = _mm256_div_pd(*v, _mm256_set1_pd(c.bias_correction2));
+  *value = _mm256_sub_pd(
+      *value, _mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(c.lr), m_hat),
+                            _mm256_add_pd(_mm256_sqrt_pd(v_hat),
+                                          _mm256_set1_pd(c.eps))));
+}
+
+void AdamUpdateAvx2(double* value, const double* m, double* v,
+                    const double* g, size_t n, const AdamCoefficients& c) {
+  const AdamCoefficients k = c;  // no reloads after the stores below
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d vv = _mm256_loadu_pd(v + i);
+    __m256d vvalue = _mm256_loadu_pd(value + i);
+    AdamLanes(k, _mm256_loadu_pd(m + i), _mm256_loadu_pd(g + i), &vv, &vvalue);
+    _mm256_storeu_pd(v + i, vv);
+    _mm256_storeu_pd(value + i, vvalue);
+  }
+  if (i < n) {
+    // Lanes at or past n load as zero and are not stored.
+    const size_t left = n - i;
+    const __m256i mask = _mm256_set_epi64x(0, left > 2 ? -1 : 0,
+                                           left > 1 ? -1 : 0, -1);
+    __m256d vv = _mm256_maskload_pd(v + i, mask);
+    __m256d vvalue = _mm256_maskload_pd(value + i, mask);
+    AdamLanes(k, _mm256_maskload_pd(m + i, mask),
+              _mm256_maskload_pd(g + i, mask), &vv, &vvalue);
+    _mm256_maskstore_pd(v + i, mask, vv);
+    _mm256_maskstore_pd(value + i, mask, vvalue);
+  }
+}
+
+#pragma GCC pop_options
+
 const KernelBackend kAvx2Backend = {
     "avx2",
     DotAvx2,
@@ -212,6 +292,9 @@ const KernelBackend kAvx2Backend = {
     MulAddAvx2,
     FusedContextUpdateAvx2,
     ReplicatedMeanAvx2,
+    GemmRowBlocks<Avx2Rows>,
+    MatMulTransposedAvx2,
+    AdamUpdateAvx2,
 };
 
 }  // namespace

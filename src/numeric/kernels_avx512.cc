@@ -4,8 +4,8 @@
 //
 // Same numerics policy as kernels_avx2.cc: reductions and FMA-bearing
 // kernels sit inside the documented ulp envelope vs the scalar backend;
-// Add/Sub/Mul/Scale and ReplicatedMean are bit-identical across backends.
-// Tails under 8 elements use masked loads/stores rather than scalar loops so
+// Add/Sub/Mul/Scale, ReplicatedMean and AdamUpdate are bit-identical across
+// backends. Tails under 8 elements use masked loads/stores rather than scalar loops so
 // the whole kernel stays in one code shape.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
@@ -172,17 +172,14 @@ void MulAddAvx512(double* z, const double* x, const double* y, size_t n) {
   }
 }
 
-// K pairs of FusedContextUpdate. Each dot is DotAvx512's chain (two
+// K dots of a against rows[0 .. K), each DotAvx512's chain (two
 // accumulators over 16-element steps, one 8-element step, HorizontalSum,
-// scalar tail), run for all K rows in the same loop so the chains overlap.
-// The update then makes one pass over center_grad, applying pair j's two
-// FMAs per element in pair order, as K one-row calls would. The pair loops
+// scalar tail), run in one pass over a so the K chains overlap. The loops
 // must unroll so the accumulators stay in registers; -O2 alone keeps them in
 // memory.
 template <size_t K>
-void ContextBlockAvx512(const double* w, double* const* rows,
-                        const double* labels, double* center_grad, size_t n,
-                        double lr) {
+inline void DotsAvx512(const double* a, const double* const* rows, size_t n,
+                       double* dots) {
   __m512d acc0[K];
   __m512d acc1[K];
 #pragma GCC unroll 8
@@ -192,30 +189,46 @@ void ContextBlockAvx512(const double* w, double* const* rows,
   }
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512d w0 = _mm512_loadu_pd(w + i);
-    const __m512d w1 = _mm512_loadu_pd(w + i + 8);
+    const __m512d a0 = _mm512_loadu_pd(a + i);
+    const __m512d a1 = _mm512_loadu_pd(a + i + 8);
 #pragma GCC unroll 8
     for (size_t j = 0; j < K; ++j) {
-      acc0[j] = _mm512_fmadd_pd(w0, _mm512_loadu_pd(rows[j] + i), acc0[j]);
-      acc1[j] = _mm512_fmadd_pd(w1, _mm512_loadu_pd(rows[j] + i + 8), acc1[j]);
+      acc0[j] = _mm512_fmadd_pd(a0, _mm512_loadu_pd(rows[j] + i), acc0[j]);
+      acc1[j] = _mm512_fmadd_pd(a1, _mm512_loadu_pd(rows[j] + i + 8), acc1[j]);
     }
   }
   for (; i + 8 <= n; i += 8) {
-    const __m512d w0 = _mm512_loadu_pd(w + i);
+    const __m512d a0 = _mm512_loadu_pd(a + i);
 #pragma GCC unroll 8
     for (size_t j = 0; j < K; ++j) {
-      acc0[j] = _mm512_fmadd_pd(w0, _mm512_loadu_pd(rows[j] + i), acc0[j]);
+      acc0[j] = _mm512_fmadd_pd(a0, _mm512_loadu_pd(rows[j] + i), acc0[j]);
     }
   }
-  __m512d vg[K];
 #pragma GCC unroll 8
   for (size_t j = 0; j < K; ++j) {
     double dot = HorizontalSum(_mm512_add_pd(acc0[j], acc1[j]));
-    for (size_t t = i; t < n; ++t) dot += w[t] * rows[j][t];
-    vg[j] = _mm512_set1_pd((labels[j] - TabulatedSigmoid(dot)) * lr);
+    for (size_t t = i; t < n; ++t) dot += a[t] * rows[j][t];
+    dots[j] = dot;
+  }
+}
+
+// K pairs of FusedContextUpdate: the K dots as overlapping chains, then one
+// pass over center_grad applying pair j's two FMAs per element in pair
+// order, as K one-row calls would.
+template <size_t K>
+void ContextBlockAvx512(const double* w, double* const* rows,
+                        const double* labels, double* center_grad, size_t n,
+                        double lr) {
+  double dots[K];
+  DotsAvx512<K>(w, rows, n, dots);
+  __m512d vg[K];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < K; ++j) {
+    vg[j] = _mm512_set1_pd((labels[j] - TabulatedSigmoid(dots[j])) * lr);
   }
 
-  for (i = 0; i + 8 <= n; i += 8) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
     const __m512d vw = _mm512_loadu_pd(w + i);
     __m512d vcg = _mm512_loadu_pd(center_grad + i);
 #pragma GCC unroll 8
@@ -286,6 +299,157 @@ void ReplicatedMeanAvx512(double* y, size_t count, double inv, size_t n) {
   }
 }
 
+// Kernels::Gemm on register tiles of kTileRows output rows by 16 columns.
+// A tile's accumulators stay in registers across a window of up to
+// kTileWindow values of p, and each row of b is loaded once per tile. Every
+// term is AxpyAvx512's FMA, masked off for the rows whose coefficient is
+// zero, so each output element sees the same FMAs in the same (ascending p)
+// order as one AxpyAvx512 per non-zero coefficient. A p that no row of the
+// tile uses is dropped from the window before the FMAs run.
+constexpr size_t kTileRows = 8;
+constexpr size_t kTileWindow = 128;
+
+// The p of one window that some row of the tile uses, in ascending order,
+// with each row's coefficient and FMA mask (all lanes, or none for a zero).
+struct TileWindow {
+  size_t live = 0;
+  size_t p[kTileWindow];
+  double alpha[kTileWindow][kTileRows];
+  __mmask8 use[kTileWindow][kTileRows];
+};
+
+// out rows [0, rows) of the tile, columns [j, j + 16) clipped to n, += the
+// window's terms.
+void GemmTileAvx512(const TileWindow& window, const double* b, size_t n,
+                    size_t j, double* out, size_t rows) {
+  const size_t width = n - j;
+  const __mmask8 cols0 = width >= 8 ? 0xFF : TailMask(width);
+  const __mmask8 cols1 =
+      width >= 16 ? 0xFF : (width > 8 ? TailMask(width - 8) : 0);
+  double* row[kTileRows];
+  __mmask8 store0[kTileRows];
+  __mmask8 store1[kTileRows];
+  __m512d acc0[kTileRows];
+  __m512d acc1[kTileRows];
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kTileRows; ++r) {
+    // Rows past the end alias row 0 under an empty mask: no load or store.
+    row[r] = out + (r < rows ? r : 0) * n + j;
+    store0[r] = r < rows ? cols0 : 0;
+    store1[r] = r < rows ? cols1 : 0;
+    acc0[r] = _mm512_maskz_loadu_pd(store0[r], row[r]);
+    acc1[r] = _mm512_maskz_loadu_pd(store1[r], row[r] + 8);
+  }
+  for (size_t q = 0; q < window.live; ++q) {
+    const double* x = b + window.p[q] * n + j;
+    const __m512d x0 = _mm512_maskz_loadu_pd(cols0, x);
+    const __m512d x1 = _mm512_maskz_loadu_pd(cols1, x + 8);
+#pragma GCC unroll 8
+    for (size_t r = 0; r < kTileRows; ++r) {
+      const __m512d va = _mm512_set1_pd(window.alpha[q][r]);
+      acc0[r] = _mm512_mask3_fmadd_pd(va, x0, acc0[r], window.use[q][r]);
+      acc1[r] = _mm512_mask3_fmadd_pd(va, x1, acc1[r], window.use[q][r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kTileRows; ++r) {
+    _mm512_mask_storeu_pd(row[r], store0[r], acc0[r]);
+    _mm512_mask_storeu_pd(row[r] + 8, store1[r], acc1[r]);
+  }
+}
+
+void GemmAvx512(size_t m, size_t n, size_t k, const double* a,
+                size_t a_row_stride, size_t a_k_stride, const double* b,
+                double* out) {
+  TileWindow window;
+  for (size_t i0 = 0; i0 < m; i0 += kTileRows) {
+    const size_t rows = m - i0 < kTileRows ? m - i0 : kTileRows;
+    const double* a_tile = a + i0 * a_row_stride;
+    for (size_t p0 = 0; p0 < k; p0 += kTileWindow) {
+      const size_t p_end = k - p0 < kTileWindow ? k : p0 + kTileWindow;
+      window.live = 0;
+      for (size_t p = p0; p < p_end; ++p) {
+        bool used = false;
+        for (size_t r = 0; r < kTileRows; ++r) {
+          const double coefficient =
+              r < rows ? a_tile[r * a_row_stride + p * a_k_stride] : 0.0;
+          window.alpha[window.live][r] = coefficient;
+          window.use[window.live][r] = coefficient != 0.0 ? 0xFF : 0;
+          used = used || coefficient != 0.0;
+        }
+        window.p[window.live] = p;
+        window.live += used ? 1 : 0;
+      }
+      if (window.live == 0) continue;
+      for (size_t j = 0; j < n; j += 16) {
+        GemmTileAvx512(window, b, n, j, out + i0 * n, rows);
+      }
+    }
+  }
+}
+
+// Four of an output row's dots at a time, as overlapping DotAvx512 chains.
+void MatMulTransposedAvx512(size_t m, size_t p, size_t n, const double* a,
+                            const double* b, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* a_row = a + i * n;
+    double* out_row = out + i * p;
+    size_t j = 0;
+    for (; j + 4 <= p; j += 4) {
+      const double* rows[4] = {b + j * n, b + (j + 1) * n, b + (j + 2) * n,
+                               b + (j + 3) * n};
+      DotsAvx512<4>(a_row, rows, n, out_row + j);
+    }
+    for (; j < p; ++j) out_row[j] = DotAvx512(a_row, b + j * n, n);
+  }
+}
+
+// Adam's update with each operation rounded on its own, as the base TU
+// computes it: GCC contracts intrinsic mul-then-add pairs into FMAs under
+// its default -ffp-contract=fast, so contraction is off for these two. The
+// full-mask sqrt keeps _mm512_sqrt_pd's undefined-value placeholder, which
+// draws -Wmaybe-uninitialized, out of the build.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+inline void AdamLanes(const AdamCoefficients& c, __m512d m, __m512d g,
+                      __m512d* v, __m512d* value) {
+  *v = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(c.beta2), *v),
+                     _mm512_mul_pd(
+                         _mm512_mul_pd(_mm512_set1_pd(c.one_minus_beta2), g),
+                         g));
+  const __m512d m_hat = _mm512_div_pd(m, _mm512_set1_pd(c.bias_correction1));
+  const __m512d v_hat = _mm512_div_pd(*v, _mm512_set1_pd(c.bias_correction2));
+  *value = _mm512_sub_pd(
+      *value, _mm512_div_pd(_mm512_mul_pd(_mm512_set1_pd(c.lr), m_hat),
+                            _mm512_add_pd(_mm512_maskz_sqrt_pd(0xFF, v_hat),
+                                          _mm512_set1_pd(c.eps))));
+}
+
+void AdamUpdateAvx512(double* value, const double* m, double* v,
+                      const double* g, size_t n, const AdamCoefficients& c) {
+  const AdamCoefficients k = c;  // no reloads after the stores below
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m512d vv = _mm512_loadu_pd(v + i);
+    __m512d vvalue = _mm512_loadu_pd(value + i);
+    AdamLanes(k, _mm512_loadu_pd(m + i), _mm512_loadu_pd(g + i), &vv, &vvalue);
+    _mm512_storeu_pd(v + i, vv);
+    _mm512_storeu_pd(value + i, vvalue);
+  }
+  if (i < n) {
+    const __mmask8 mask = TailMask(n - i);
+    __m512d vv = _mm512_maskz_loadu_pd(mask, v + i);
+    __m512d vvalue = _mm512_maskz_loadu_pd(mask, value + i);
+    AdamLanes(k, _mm512_maskz_loadu_pd(mask, m + i),
+              _mm512_maskz_loadu_pd(mask, g + i), &vv, &vvalue);
+    _mm512_mask_storeu_pd(v + i, mask, vv);
+    _mm512_mask_storeu_pd(value + i, mask, vvalue);
+  }
+}
+
+#pragma GCC pop_options
+
 const KernelBackend kAvx512Backend = {
     "avx512",
     DotAvx512,
@@ -299,6 +463,9 @@ const KernelBackend kAvx512Backend = {
     MulAddAvx512,
     FusedContextUpdateAvx512,
     ReplicatedMeanAvx512,
+    GemmAvx512,
+    MatMulTransposedAvx512,
+    AdamUpdateAvx512,
 };
 
 }  // namespace

@@ -11,9 +11,10 @@
 #ifndef TG_NUMERIC_KERNELS_GENERIC_H_
 #define TG_NUMERIC_KERNELS_GENERIC_H_
 
+#include <cmath>
 #include <cstddef>
 
-#include "numeric/kernels.h"  // TabulatedSigmoid for the fused update
+#include "numeric/kernels.h"  // TabulatedSigmoid, AdamCoefficients
 
 namespace tg::kernels::generic {
 
@@ -162,6 +163,38 @@ inline void FusedContextUpdate(const double* __restrict w,
         block[j][i] = ci + g[j] * w[i];
       }
     }
+  }
+}
+
+// y[r][i] += alpha[r] * x[i] for the R distinct rows y[r]: Axpy's
+// operation, one pass over x for all R rows (the Gemm row block).
+template <size_t R>
+inline void AxpyRows(const double* alpha, const double* x, double* const* y,
+                     size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const double xi = x[i];
+    for (size_t r = 0; r < R; ++r) y[r][i] += alpha[r] * xi;
+  }
+}
+
+inline void MatMulTransposed(size_t m, size_t p, size_t n, const double* a,
+                             const double* b, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < p; ++j) out[i * p + j] = Dot(a + i * n, b + j * n, n);
+  }
+}
+
+// The Adam loop as the base TU (nn/optimizer.cc) has always compiled it.
+inline void AdamUpdate(double* value, const double* m, double* v,
+                       const double* g, size_t n, const AdamCoefficients& c) {
+  const double beta2 = c.beta2, one_minus_beta2 = c.one_minus_beta2;
+  const double bc1 = c.bias_correction1, bc2 = c.bias_correction2;
+  const double lr = c.lr, eps = c.eps;
+  for (size_t j = 0; j < n; ++j) {
+    v[j] = beta2 * v[j] + one_minus_beta2 * g[j] * g[j];
+    const double m_hat = m[j] / bc1;
+    const double v_hat = v[j] / bc2;
+    value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
 }
 

@@ -6,11 +6,14 @@
 // reductions and vfmaq contraction sit inside the documented ulp envelope vs
 // the scalar backend; Add/Sub/Mul/Scale and ReplicatedMean are bit-identical
 // across backends.
+#include "numeric/gemm_row_blocks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
 
 #if defined(__aarch64__)
 #include <arm_neon.h>
+
+#include <cmath>
 
 namespace tg::kernels::internal {
 namespace {
@@ -74,13 +77,30 @@ void ScaleNeon(double* y, double s, size_t n) {
   for (; i < n; ++i) y[i] *= s;
 }
 
-void AxpyNeon(double alpha, const double* x, double* y, size_t n) {
-  const float64x2_t va = vdupq_n_f64(alpha);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vfmaq_f64(vld1q_f64(y + i), va, vld1q_f64(x + i)));
+// Axpy's operation on R distinct rows y[r] += alpha[r] * x, one load of x
+// per vector for all R rows: the `axpy` entry (R = 1) and the Gemm row
+// block.
+struct NeonRows {
+  template <size_t R>
+  static void AxpyRows(const double* alpha, const double* x, double* const* y,
+                       size_t n) {
+    float64x2_t va[R];
+    for (size_t r = 0; r < R; ++r) va[r] = vdupq_n_f64(alpha[r]);
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const float64x2_t vx = vld1q_f64(x + i);
+      for (size_t r = 0; r < R; ++r) {
+        vst1q_f64(y[r] + i, vfmaq_f64(vld1q_f64(y[r] + i), va[r], vx));
+      }
+    }
+    for (; i < n; ++i) {
+      for (size_t r = 0; r < R; ++r) y[r][i] += alpha[r] * x[i];
+    }
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+};
+
+void AxpyNeon(double alpha, const double* x, double* y, size_t n) {
+  NeonRows::AxpyRows<1>(&alpha, x, &y, n);
 }
 
 void ScaleAddNeon(double* y, double alpha, double beta, const double* x,
@@ -157,6 +177,30 @@ void ReplicatedMeanNeon(double* y, size_t count, double inv, size_t n) {
   }
 }
 
+void MatMulTransposedNeon(size_t m, size_t p, size_t n, const double* a,
+                          const double* b, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < p; ++j) {
+      out[i * p + j] = DotNeon(a + i * n, b + j * n, n);
+    }
+  }
+}
+
+// The C++ loop of the base TU under the same (aarch64 base) flags, so this
+// entry keeps whatever contraction the compiler applied there.
+void AdamUpdateNeon(double* value, const double* m, double* v,
+                    const double* g, size_t n, const AdamCoefficients& c) {
+  const double beta2 = c.beta2, one_minus_beta2 = c.one_minus_beta2;
+  const double bc1 = c.bias_correction1, bc2 = c.bias_correction2;
+  const double lr = c.lr, eps = c.eps;
+  for (size_t j = 0; j < n; ++j) {
+    v[j] = beta2 * v[j] + one_minus_beta2 * g[j] * g[j];
+    const double m_hat = m[j] / bc1;
+    const double v_hat = v[j] / bc2;
+    value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+  }
+}
+
 const KernelBackend kNeonBackend = {
     "neon",
     DotNeon,
@@ -170,6 +214,9 @@ const KernelBackend kNeonBackend = {
     MulAddNeon,
     FusedContextUpdateNeon,
     ReplicatedMeanNeon,
+    GemmRowBlocks<NeonRows>,
+    MatMulTransposedNeon,
+    AdamUpdateNeon,
 };
 
 }  // namespace

@@ -3,11 +3,20 @@
 // determinism oracle every other backend is tested against -- see
 // kernels_generic.h for why the instantiation here is bit-identical to the
 // pre-dispatch kernel layer.
+#include "numeric/gemm_row_blocks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels_generic.h"
 
 namespace tg::kernels::internal {
 namespace {
+
+struct ScalarRows {
+  template <size_t R>
+  static void AxpyRows(const double* alpha, const double* x, double* const* y,
+                       size_t n) {
+    generic::AxpyRows<R>(alpha, x, y, n);
+  }
+};
 
 const KernelBackend kScalarBackend = {
     "scalar",
@@ -22,6 +31,9 @@ const KernelBackend kScalarBackend = {
     generic::MulAdd,
     generic::FusedContextUpdate,
     generic::ReplicatedMean,
+    GemmRowBlocks<ScalarRows>,
+    generic::MatMulTransposed,
+    generic::AdamUpdate,
 };
 
 }  // namespace

@@ -81,43 +81,24 @@ Matrix& Matrix::operator*=(double scalar) {
 Matrix Matrix::MatMul(const Matrix& other) const {
   TG_CHECK_EQ(cols_, other.rows_);
   Matrix out(rows_, other.cols_);
-  // i-k-j loop order for cache-friendly access to row-major storage.
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* a_row = RowPtr(i);
-    double* out_row = out.RowPtr(i);
-    for (size_t k = 0; k < cols_; ++k) {
-      const double a = a_row[k];
-      if (a == 0.0) continue;
-      kernels::Axpy(a, other.RowPtr(k), out_row, other.cols_);
-    }
-  }
+  kernels::Gemm(rows_, other.cols_, cols_, data(), /*a_row_stride=*/cols_,
+                /*a_k_stride=*/1, other.data(), out.data());
   return out;
 }
 
 Matrix Matrix::TransposedMatMul(const Matrix& other) const {
   TG_CHECK_EQ(rows_, other.rows_);
   Matrix out(cols_, other.cols_);
-  for (size_t k = 0; k < rows_; ++k) {
-    const double* a_row = RowPtr(k);
-    const double* b_row = other.RowPtr(k);
-    for (size_t i = 0; i < cols_; ++i) {
-      const double a = a_row[i];
-      if (a == 0.0) continue;
-      kernels::Axpy(a, b_row, out.RowPtr(i), other.cols_);
-    }
-  }
+  kernels::Gemm(cols_, other.cols_, rows_, data(), /*a_row_stride=*/1,
+                /*a_k_stride=*/cols_, other.data(), out.data());
   return out;
 }
 
 Matrix Matrix::MatMulTransposed(const Matrix& other) const {
   TG_CHECK_EQ(cols_, other.cols_);
   Matrix out(rows_, other.rows_);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* a_row = RowPtr(i);
-    for (size_t j = 0; j < other.rows_; ++j) {
-      out(i, j) = kernels::Dot(a_row, other.RowPtr(j), cols_);
-    }
-  }
+  kernels::MatMulTransposed(rows_, other.rows_, cols_, data(), other.data(),
+                            out.data());
   return out;
 }
 

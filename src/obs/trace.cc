@@ -21,10 +21,14 @@
 #include "util/logging.h"
 
 namespace tg::obs {
+namespace internal_mode {
+std::atomic<uint32_t> g_mode{kUnseededBit};
+}  // namespace internal_mode
+
 namespace {
 
 constexpr uint32_t kTraceBit = 1u;
-constexpr uint32_t kMetricsBit = 2u;
+constexpr uint32_t kMetricsBit = internal_mode::kMetricsBit;
 // Profiler bookkeeping only: spans maintain the thread-local id / open-span
 // chain (for SIGPROF attribution) without recording or histograms.
 constexpr uint32_t kProfileBit = 4u;
@@ -32,13 +36,21 @@ constexpr uint32_t kProfileBit = 4u;
 // threshold emit a structured event (obs/event_log.h).
 constexpr uint32_t kEventLogBit = 8u;
 
+// The mode word, seeded once from the environment knobs on first use (from
+// any TU, any time); every read and write goes through here, except the
+// inline MetricsEnabled fast path.
 std::atomic<uint32_t>& Mode() {
-  // Function-local so first use (from any TU, any time) is well-defined;
-  // seeded once from the environment knobs.
-  static std::atomic<uint32_t> mode{
-      (EnvFlagSet("TG_TRACE") ? kTraceBit : 0u) |
-      (EnvFlagSet("TG_METRICS") ? kMetricsBit : 0u)};
-  return mode;
+  static const bool seeded = [] {
+    internal_mode::g_mode.fetch_or(
+        (EnvFlagSet("TG_TRACE") ? kTraceBit : 0u) |
+            (EnvFlagSet("TG_METRICS") ? kMetricsBit : 0u),
+        std::memory_order_relaxed);
+    internal_mode::g_mode.fetch_and(~internal_mode::kUnseededBit,
+                                    std::memory_order_relaxed);
+    return true;
+  }();
+  (void)seeded;
+  return internal_mode::g_mode;
 }
 
 using internal_thread_state::LocalThreadState;
@@ -96,7 +108,7 @@ void SetMetricsEnabled(bool enabled) {
   }
 }
 
-bool MetricsEnabled() {
+bool internal_mode::MetricsEnabledSlow() {
   return (Mode().load(std::memory_order_relaxed) & kMetricsBit) != 0;
 }
 

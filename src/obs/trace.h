@@ -19,6 +19,7 @@
 #ifndef TG_OBS_TRACE_H_
 #define TG_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ bool TraceEnabled();
 
 // Metrics: span close feeds the "stage.<name>.seconds" histogram.
 void SetMetricsEnabled(bool enabled);
-bool MetricsEnabled();
+inline bool MetricsEnabled();  // defined below: one relaxed load
 
 // Profiler bookkeeping: keeps spans maintaining the thread-local id /
 // open-span chain (without recording or histograms) when neither tracing
@@ -209,6 +210,28 @@ std::string ChromeTraceJson();
 
 // ChromeTraceJson written to `path`.
 Status WriteChromeTrace(const std::string& path);
+
+// --- Inline mode reads --------------------------------------------------------
+
+namespace internal_mode {
+inline constexpr uint32_t kMetricsBit = 2u;
+// Set until the mode word is seeded from TG_TRACE / TG_METRICS on first use.
+inline constexpr uint32_t kUnseededBit = 1u << 31;
+extern std::atomic<uint32_t> g_mode;
+bool MetricsEnabledSlow();  // seeds the word, then reads the bit
+}  // namespace internal_mode
+
+// Hot-path gate (per-kernel counters): one relaxed load and one branch when
+// metrics are off and the word is seeded.
+inline bool MetricsEnabled() {
+  const uint32_t mode =
+      internal_mode::g_mode.load(std::memory_order_relaxed);
+  if ((mode & (internal_mode::kMetricsBit | internal_mode::kUnseededBit)) ==
+      0) {
+    return false;
+  }
+  return internal_mode::MetricsEnabledSlow();
+}
 
 }  // namespace tg::obs
 

@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -295,13 +297,9 @@ class ScopedBackend {
   bool ok_;
 };
 
-// Pinned link-prediction embeddings under the exact-order scalar backend.
-// The hashes were recorded from the GatherRows / MulColBroadcast /
-// ScatterAddRows / RowsDot formulation of message passing and decoding, so
-// any change to the GNN arithmetic (or its order) fails here.
-TEST(LinkPredictionTest, SageEmbeddingsPinnedUnderScalar) {
-  ScopedBackend scalar("scalar");
-  ASSERT_TRUE(scalar.ok());
+// The pinned link-prediction runs: 25 epochs of SAGE or GAT on
+// TwoCommunities, under whatever backend is active.
+Matrix PinnedSageEmbeddings() {
   Graph g = TwoCommunities();
   EdgeIndex edges = BuildEdgeIndex(g, true);
   Rng rng(41);
@@ -313,14 +311,12 @@ TEST(LinkPredictionTest, SageEmbeddingsPinnedUnderScalar) {
   LinkPredictionConfig config;
   config.epochs = 25;
   config.learning_rate = 1e-2;
-  LinkPredictionResult result = TrainLinkPrediction(
-      g, &encoder, features, {{0, 7}, {2, 9}}, config, &rng);
-  EXPECT_EQ(Hex(EmbeddingHash(result.embeddings)), "e93aeb7002fb4372");
+  return TrainLinkPrediction(g, &encoder, features, {{0, 7}, {2, 9}}, config,
+                             &rng)
+      .embeddings;
 }
 
-TEST(LinkPredictionTest, GatEmbeddingsPinnedUnderScalar) {
-  ScopedBackend scalar("scalar");
-  ASSERT_TRUE(scalar.ok());
+Matrix PinnedGatEmbeddings() {
   Graph g = TwoCommunities();
   EdgeIndex edges = BuildEdgeIndex(g, true);
   Rng rng(43);
@@ -333,9 +329,54 @@ TEST(LinkPredictionTest, GatEmbeddingsPinnedUnderScalar) {
   LinkPredictionConfig config;
   config.epochs = 25;
   config.learning_rate = 1e-2;
-  LinkPredictionResult result = TrainLinkPrediction(
-      g, &encoder, features, {{0, 7}, {2, 9}}, config, &rng);
-  EXPECT_EQ(Hex(EmbeddingHash(result.embeddings)), "ff47e76a1c6cfd2f");
+  return TrainLinkPrediction(g, &encoder, features, {{0, 7}, {2, 9}}, config,
+                             &rng)
+      .embeddings;
+}
+
+// Pinned link-prediction embeddings under the exact-order scalar backend.
+// The hashes were recorded from the GatherRows / MulColBroadcast /
+// ScatterAddRows / RowsDot formulation of message passing and decoding, so
+// any change to the GNN arithmetic (or its order) fails here.
+TEST(LinkPredictionTest, SageEmbeddingsPinnedUnderScalar) {
+  ScopedBackend scalar("scalar");
+  ASSERT_TRUE(scalar.ok());
+  EXPECT_EQ(Hex(EmbeddingHash(PinnedSageEmbeddings())), "e93aeb7002fb4372");
+}
+
+TEST(LinkPredictionTest, GatEmbeddingsPinnedUnderScalar) {
+  ScopedBackend scalar("scalar");
+  ASSERT_TRUE(scalar.ok());
+  EXPECT_EQ(Hex(EmbeddingHash(PinnedGatEmbeddings())), "ff47e76a1c6cfd2f");
+}
+
+// The same runs under each x86 vector backend this host supports, recorded
+// while MatMul, TransposedMatMul and MatMulTransposed were row loops over
+// Axpy and Dot and Adam's update was a loop in nn/optimizer.cc. The vector
+// backends contract to FMA and reassociate, so each has its own pins; a
+// backend with no row here (neon) is not checked.
+TEST(LinkPredictionTest, EmbeddingsPinnedUnderEveryVectorBackend) {
+  const struct {
+    const char* backend;
+    const char* sage;
+    const char* gat;
+  } kPinned[] = {
+      {"avx2", "be61b68c6d9ab020", "7ef2adfaa9b8f6c5"},
+      {"avx512", "84181ae793149109", "1d9682bb4ba07c3b"},
+  };
+  const std::vector<std::string> available = kernels::AvailableBackendNames();
+  for (const auto& pin : kPinned) {
+    if (std::find(available.begin(), available.end(), pin.backend) ==
+        available.end()) {
+      continue;
+    }
+    ScopedBackend backend(pin.backend);
+    ASSERT_TRUE(backend.ok()) << pin.backend;
+    EXPECT_EQ(Hex(EmbeddingHash(PinnedSageEmbeddings())), pin.sage)
+        << pin.backend;
+    EXPECT_EQ(Hex(EmbeddingHash(PinnedGatEmbeddings())), pin.gat)
+        << pin.backend;
+  }
 }
 
 // A ring over `num_nodes` nodes plus chords (i, i + k) for k = 2, 3, ...

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,6 +110,101 @@ void ElementwiseCase(void (*op)(double*, const double*, size_t), size_t n,
 double PairGradient(const kernels::KernelBackend& k, const double* w,
                     const double* c, size_t n, double label, double lr) {
   return (label - kernels::TabulatedSigmoid(k.dot(w, c, n))) * lr;
+}
+
+// --- The loops the gemm, matmul_transposed and adam_update entries replaced:
+// Matrix::MatMul, Matrix::TransposedMatMul, Matrix::MatMulTransposed and the
+// Adam::Step update, copied here over backend k's axpy and dot.
+
+// out (m x n) += A * b for the row-major m x kd matrix A, as MatMul did it.
+void MatMulRowLoop(const kernels::KernelBackend& k, size_t m, size_t n,
+                   size_t kd, const double* a, const double* b, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* a_row = a + i * kd;
+    double* out_row = out + i * n;
+    for (size_t p = 0; p < kd; ++p) {
+      const double coefficient = a_row[p];
+      if (coefficient == 0.0) continue;
+      k.axpy(coefficient, b + p * n, out_row, n);
+    }
+  }
+}
+
+// out (m x n) += T^T * b for the row-major kd x m matrix T, as
+// TransposedMatMul did it.
+void TransposedMatMulRowLoop(const kernels::KernelBackend& k, size_t m,
+                             size_t n, size_t kd, const double* t,
+                             const double* b, double* out) {
+  for (size_t p = 0; p < kd; ++p) {
+    const double* t_row = t + p * m;
+    const double* b_row = b + p * n;
+    for (size_t i = 0; i < m; ++i) {
+      const double coefficient = t_row[i];
+      if (coefficient == 0.0) continue;
+      k.axpy(coefficient, b_row, out + i * n, n);
+    }
+  }
+}
+
+void MatMulTransposedRowLoop(const kernels::KernelBackend& k, size_t m,
+                             size_t p, size_t n, const double* a,
+                             const double* b, double* out) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < p; ++j) out[i * p + j] = k.dot(a + i * n, b + j * n, n);
+  }
+}
+
+void AdamRowLoop(double* value, const double* md, double* vd,
+                 const double* gd, size_t n,
+                 const kernels::AdamCoefficients& c) {
+  const double bc1 = c.bias_correction1;
+  const double bc2 = c.bias_correction2;
+  const double beta2 = c.beta2;
+  const double one_minus_beta2 = c.one_minus_beta2;
+  for (size_t j = 0; j < n; ++j) {
+    vd[j] = beta2 * vd[j] + one_minus_beta2 * gd[j] * gd[j];
+    const double m_hat = md[j] / bc1;
+    const double v_hat = vd[j] / bc2;
+    value[j] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
+  }
+}
+
+// Row-major m x kd coefficients A(i, p). Rows cycle through dense
+// mixed-magnitude values with about a quarter zeros, a GNN-style sparse
+// feature row (a one-hot flag, a -0.0, a value every seventh column) and an
+// all-zero row, so four-row blocks see every mix of live rows.
+std::vector<double> GemmCoefficients(size_t m, size_t kd, Rng* rng) {
+  std::vector<double> a(m * kd, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    double* row = a.data() + i * kd;
+    if (i % 5 == 1) {
+      for (size_t p = 2; p < kd; p += 7) row[p] = rng->NextUniform(-1.0, 1.0);
+      if (kd > 1) row[1] = -0.0;
+      if (kd > 0) row[i % kd] = 1.0;
+    } else if (i % 5 != 3) {
+      const std::vector<double> values = MixedMagnitude(kd, rng);
+      for (size_t p = 0; p < kd; ++p) {
+        row[p] = rng->NextBernoulli(0.25) ? 0.0 : values[p];
+      }
+    }
+  }
+  return a;
+}
+
+// The kd x m transpose of the row-major m x kd matrix a.
+std::vector<double> Transposed(const std::vector<double>& a, size_t m,
+                               size_t kd) {
+  std::vector<double> t(a.size());
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t p = 0; p < kd; ++p) t[p * m + i] = a[i * kd + p];
+  }
+  return t;
+}
+
+// Adam coefficients at step t with the GNN trainer's settings.
+kernels::AdamCoefficients AdamAtStep(int t) {
+  return {0.999, 1.0 - 0.999, 1.0 - std::pow(0.9, t), 1.0 - std::pow(0.999, t),
+          1e-2, 1e-8};
 }
 
 struct PinnedEntry {
@@ -225,6 +321,49 @@ const PinnedEntry kScalarPinnedEntries[] = {
                               grad.data() + off, n, lr);
        for (const std::vector<double>& row : c) hash->Add(row);
        hash->Add(grad);
+     }},
+    // Recorded from MatMulRowLoop and TransposedMatMulRowLoop (m = 6,
+    // k = 5) over the parent's scalar axpy.
+    {"gemm", 0x0cc2257ad76e75d3ULL,
+     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
+        BitHash* hash) {
+       const size_t m = 6, kd = 5;
+       const std::vector<double> a = GemmCoefficients(m, kd, rng);
+       const std::vector<double> t = Transposed(a, m, kd);
+       const std::vector<double> b = MixedMagnitude(kd * n + 1, rng);
+       std::vector<double> out = MixedMagnitude(m * n + 1, rng);
+       std::vector<double> out_t = out;
+       k.gemm(m, n, kd, a.data(), kd, 1, b.data() + off, out.data() + off);
+       k.gemm(m, n, kd, t.data(), 1, m, b.data() + off, out_t.data() + off);
+       hash->Add(out);
+       hash->Add(out_t);
+     }},
+    // Recorded from MatMulTransposedRowLoop (3 x 5 products) over the
+    // parent's scalar dot.
+    {"matmul_transposed", 0x66d73635da688774ULL,
+     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
+        BitHash* hash) {
+       const size_t m = 3, p = 5;
+       const std::vector<double> a = MixedMagnitude(m * n + 1, rng);
+       const std::vector<double> b = MixedMagnitude(p * n + 1, rng);
+       std::vector<double> out(m * p);
+       k.matmul_transposed(m, p, n, a.data() + off, b.data() + off,
+                           out.data());
+       hash->Add(out);
+     }},
+    // Recorded from AdamRowLoop.
+    {"adam_update", 0x5e29ab6cfc363e4fULL,
+     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
+        BitHash* hash) {
+       std::vector<double> value = MixedMagnitude(n + 1, rng);
+       const std::vector<double> m = MixedMagnitude(n + 1, rng);
+       const std::vector<double> g = MixedMagnitude(n + 1, rng);
+       std::vector<double> v = MixedMagnitude(n + 1, rng);
+       for (double& x : v) x = std::abs(x);
+       k.adam_update(value.data() + off, m.data() + off, v.data() + off,
+                     g.data() + off, n, AdamAtStep(1 + static_cast<int>(n % 5)));
+       hash->Add(value);
+       hash->Add(v);
      }},
     {"replicated_mean", 0x19958c649b2b7670ULL,
      [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
@@ -605,6 +744,142 @@ TEST_F(KernelsTest, EveryBackendContextCallMatchesSequentialPairCalls) {
                 << backend << " n=" << n << " k=" << k << " row " << j
                 << " i=" << i;
           }
+        }
+      }
+    }
+  }
+}
+
+// Gemm against the MatMul and TransposedMatMul row loops it replaced, bit
+// for bit on every backend: m across the four-row blocks and their tails,
+// n across every vector tail, empty dimensions, and out accumulated on top
+// of non-zero values.
+TEST_F(KernelsTest, EveryBackendGemmMatchRowLoops) {
+  for (const std::string& backend : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    const kernels::KernelBackend& k = kernels::ActiveBackend();
+    Rng rng(41);
+    for (size_t m : {0, 1, 3, 4, 5, 6, 7, 8, 9}) {
+      for (size_t n : {0, 1, 3, 7, 8, 9, 15, 16, 17, 64, 270}) {
+        for (size_t kd : {0, 1, 5, 13}) {
+          const std::vector<double> a = GemmCoefficients(m, kd, &rng);
+          const std::vector<double> t = Transposed(a, m, kd);
+          const std::vector<double> b = MixedMagnitude(kd * n, &rng);
+          const std::vector<double> base = MixedMagnitude(m * n, &rng);
+
+          std::vector<double> got = base, want = base;
+          kernels::Gemm(m, n, kd, a.data(), kd, 1, b.data(), got.data());
+          MatMulRowLoop(k, m, n, kd, a.data(), b.data(), want.data());
+          for (size_t e = 0; e < got.size(); ++e) {
+            ASSERT_EQ(BitsOf(got[e]), BitsOf(want[e]))
+                << backend << " MatMul m=" << m << " n=" << n << " k=" << kd
+                << " e=" << e;
+          }
+
+          got = base;
+          want = base;
+          kernels::Gemm(m, n, kd, t.data(), 1, m, b.data(), got.data());
+          TransposedMatMulRowLoop(k, m, n, kd, t.data(), b.data(),
+                                  want.data());
+          for (size_t e = 0; e < got.size(); ++e) {
+            ASSERT_EQ(BitsOf(got[e]), BitsOf(want[e]))
+                << backend << " TransposedMatMul m=" << m << " n=" << n
+                << " k=" << kd << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A zero coefficient skips its term, so an inf or NaN in that row of b never
+// reaches the output, in either layout and on every backend.
+TEST_F(KernelsTest, EveryBackendGemmSkipsNonFiniteRowsWithZeroCoefficient) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::string& backend : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    const kernels::KernelBackend& k = kernels::ActiveBackend();
+    Rng rng(43);
+    const size_t m = 7, kd = 6, bad = 2;
+    for (size_t n : {1, 5, 8, 12, 19}) {
+      std::vector<double> a = GemmCoefficients(m, kd, &rng);
+      for (size_t i = 0; i < m; ++i) a[i * kd + bad] = i % 2 == 0 ? 0.0 : -0.0;
+      const std::vector<double> t = Transposed(a, m, kd);
+      std::vector<double> b = MixedMagnitude(kd * n, &rng);
+      for (size_t j = 0; j < n; ++j) b[bad * n + j] = j % 2 == 0 ? nan : inf;
+      const std::vector<double> base = MixedMagnitude(m * n, &rng);
+
+      std::vector<double> got = base, got_t = base, want = base;
+      kernels::Gemm(m, n, kd, a.data(), kd, 1, b.data(), got.data());
+      kernels::Gemm(m, n, kd, t.data(), 1, m, b.data(), got_t.data());
+      MatMulRowLoop(k, m, n, kd, a.data(), b.data(), want.data());
+      for (size_t e = 0; e < got.size(); ++e) {
+        EXPECT_TRUE(std::isfinite(got[e])) << backend << " n=" << n;
+        EXPECT_EQ(BitsOf(got[e]), BitsOf(want[e])) << backend << " n=" << n;
+        EXPECT_EQ(BitsOf(got_t[e]), BitsOf(want[e])) << backend << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, EveryBackendMatMulTransposedMatchRowLoops) {
+  for (const std::string& backend : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    const kernels::KernelBackend& k = kernels::ActiveBackend();
+    Rng rng(47);
+    for (size_t m : {0, 1, 3, 5}) {
+      for (size_t p : {0, 1, 4, 7}) {
+        for (size_t n : {0, 1, 3, 4, 7, 8, 15, 16, 17, 64, 129}) {
+          const std::vector<double> a = MixedMagnitude(m * n, &rng);
+          const std::vector<double> b = MixedMagnitude(p * n, &rng);
+          std::vector<double> got(m * p, -1.0), want(m * p, -2.0);
+          kernels::MatMulTransposed(m, p, n, a.data(), b.data(), got.data());
+          MatMulTransposedRowLoop(k, m, p, n, a.data(), b.data(),
+                                  want.data());
+          for (size_t e = 0; e < got.size(); ++e) {
+            ASSERT_EQ(BitsOf(got[e]), BitsOf(want[e]))
+                << backend << " m=" << m << " p=" << p << " n=" << n
+                << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The Adam update rounds each operation on its own, so every backend
+// reproduces the base TU's loop exactly -- including zero, inf and NaN
+// gradients and the first steps' large bias corrections.
+TEST_F(KernelsTest, EveryBackendAdamUpdateMatchRowLoops) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::string& backend : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    Rng rng(53);
+    for (size_t n : kLengths) {
+      for (int step : {1, 2, 10, 150}) {
+        std::vector<double> value = MixedMagnitude(n, &rng);
+        const std::vector<double> m = MixedMagnitude(n, &rng);
+        std::vector<double> g = MixedMagnitude(n, &rng);
+        std::vector<double> v = MixedMagnitude(n, &rng);
+        for (double& x : v) x = std::abs(x);
+        if (n > 3) {
+          g[0] = 0.0;
+          g[1] = -inf;
+          g[n - 1] = nan;
+          v[2] = 0.0;
+        }
+        const kernels::AdamCoefficients c = AdamAtStep(step);
+        std::vector<double> got_value = value, got_v = v;
+        kernels::AdamUpdate(got_value.data(), m.data(), got_v.data(),
+                            g.data(), n, c);
+        AdamRowLoop(value.data(), m.data(), v.data(), g.data(), n, c);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(BitsOf(got_value[i]), BitsOf(value[i]))
+              << backend << " n=" << n << " step=" << step << " i=" << i;
+          ASSERT_EQ(BitsOf(got_v[i]), BitsOf(v[i]))
+              << backend << " n=" << n << " step=" << step << " i=" << i;
         }
       }
     }

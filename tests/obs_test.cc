@@ -17,6 +17,7 @@
 
 #include "core/evaluation.h"
 #include "core/pipeline.h"
+#include "numeric/kernels.h"
 #include "obs/metrics.h"
 #include "obs/thread_state.h"
 #include "obs/trace.h"
@@ -366,6 +367,40 @@ TEST_F(ObsTest, SpanFeedsStageHistogramWhenMetricsEnabled) {
   obs::SetMetricsEnabled(false);
   { TG_TRACE_SPAN("obs_test_stage"); }
   EXPECT_EQ(stage.count(), 1u);
+}
+
+// The per-kernel call counters sit behind the inline MetricsEnabled gate:
+// every kernel entry counts while metrics are on and none while they are
+// off.
+TEST_F(ObsTest, KernelCallCountersFollowTheMetricsGate) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  obs::Counter& dot = registry.GetCounter("numeric.kernel.dot.calls");
+  obs::Counter& gemm = registry.GetCounter("numeric.kernel.gemm.calls");
+  obs::Counter& adam =
+      registry.GetCounter("numeric.kernel.adam_update.calls");
+  const double x[3] = {1.0, 2.0, 3.0};
+  double y[3] = {0.0, 0.0, 0.0};
+  double value[3] = {1.0, 1.0, 1.0};
+  const kernels::AdamCoefficients c = {0.999, 0.001, 0.1, 0.001, 1e-2, 1e-8};
+
+  obs::SetMetricsEnabled(true);
+  const uint64_t dot_on = dot.value();
+  const uint64_t gemm_on = gemm.value();
+  const uint64_t adam_on = adam.value();
+  kernels::Dot(x, x, 3);
+  kernels::Gemm(1, 3, 1, x, 1, 1, x, y);
+  kernels::AdamUpdate(value, x, y, x, 3, c);
+  EXPECT_EQ(dot.value(), dot_on + 1);
+  EXPECT_EQ(gemm.value(), gemm_on + 1);
+  EXPECT_EQ(adam.value(), adam_on + 1);
+
+  obs::SetMetricsEnabled(false);
+  kernels::Dot(x, x, 3);
+  kernels::Gemm(1, 3, 1, x, 1, 1, x, y);
+  kernels::AdamUpdate(value, x, y, x, 3, c);
+  EXPECT_EQ(dot.value(), dot_on + 1);
+  EXPECT_EQ(gemm.value(), gemm_on + 1);
+  EXPECT_EQ(adam.value(), adam_on + 1);
 }
 
 TEST_F(ObsTest, ExportedJsonValidates) {

@@ -94,10 +94,14 @@ section "kernel backend dispatch gate"
 # widest backend this binary+CPU supports (what TG_ISA=auto resolves to):
 # the fused message-passing ops stay bit-identical only while no vector
 # backend contracts their mul+add to FMA. The GBDT suite pins its output
-# bits, which must not depend on the backend either. `tg_cli backend`
-# prints both facts; forcing a backend that does not exist must be a hard
-# error, never a silent fallback (see docs/performance.md).
-DISPATCH_TESTS="kernels_test autograd_test gnn_test ml_gbdt_test"
+# bits, which must not depend on the backend either. The matrix, nn and
+# estimator-baseline suites run every MatMul caller (the Adam update, the
+# LogME gram) through the Gemm / MatMulTransposed / AdamUpdate entries, and
+# core_baselines_test pins the estimator scores per backend. `tg_cli
+# backend` prints both facts; forcing a backend that does not exist must be
+# a hard error, never a silent fallback (see docs/performance.md).
+DISPATCH_TESTS="kernels_test autograd_test gnn_test ml_gbdt_test nn_test \
+matrix_test core_baselines_test"
 # shellcheck disable=SC2086
 cmake --build build-release -j "$JOBS" --target $DISPATCH_TESTS tg_cli
 ./build-release/tools/tg_cli backend
