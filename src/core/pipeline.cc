@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 
 #include "core/sweep_checkpoint.h"
-#include "util/backoff.h"
 #include "numeric/pca.h"
 #include "numeric/stats.h"
 #include "obs/event_log.h"
@@ -27,6 +28,11 @@ namespace {
 // Constant-initialized so a SIGTERM arriving at any point of process
 // lifetime can store to it; sweeps poll it between targets.
 std::atomic<bool> g_sweep_drain{false};
+
+// Pause before a failed target's degraded retry: transient faults (I/O
+// pressure, injected prob schedules) often clear with a pause. Results never
+// depend on it.
+constexpr std::chrono::milliseconds kDegradedRetryPause{5};
 
 // Appends "|name=value"; doubles print at %.17g, so distinct values never
 // share a key.
@@ -424,14 +430,7 @@ TargetEvaluation Pipeline::SweepTarget(const PipelineConfig& config,
     ++retries;
     retries_counter.Increment();
     obs::EmitEvent("sweep.target_retry", target_name, error);
-    // Back off briefly before the retry: transient faults (I/O pressure,
-    // injected prob schedules) often clear with a pause. The delay is
-    // deterministic under (config seed, target) -- see util/backoff.
-    BackoffPolicy retry_backoff;
-    retry_backoff.initial_sec = 0.005;
-    retry_backoff.max_sec = 0.05;
-    retry_backoff.seed = config.seed ^ target_dataset;
-    Backoff(retry_backoff).SleepNext();
+    std::this_thread::sleep_for(kDegradedRetryPause);
     std::string retry_error;
     ok = TryEvaluateTarget(this, DegradedFallbackConfig(config),
                            target_dataset, &eval, &retry_error);

@@ -98,9 +98,9 @@ struct SweepResult {
 
 // Cooperative graceful-shutdown flag for sweeps. RequestSweepDrain is
 // async-signal-safe (one atomic store): tg_cli's SIGTERM/SIGINT handler
-// calls it so an orchestrator can drain a worker -- the in-flight target
-// finishes, state is checkpointed / leases released, and the process exits
-// cleanly instead of being killed mid-write.
+// calls it so an orchestrator can drain a sweep -- the in-flight targets
+// finish and are checkpointed, and the process exits cleanly instead of
+// being killed mid-write.
 void RequestSweepDrain();
 bool SweepDrainRequested();
 void ClearSweepDrain();  // tests / repeated sweeps within one process
@@ -127,13 +127,11 @@ class Pipeline {
   // One step of a leave-one-out sweep: EvaluateTarget with every failure
   // mode (exceptions, the "pipeline.target" fault point, non-finite
   // predictions) caught. With degrade_on_failure, a failed target is retried
-  // once with the metadata-only strategy after a pause that is deterministic
-  // in (config seed, target). The result carries retries and degraded, or
-  // failed and error when no attempt succeeded. Emits the sweep.target_*
-  // events and counts pipeline.target_{retries,degraded,failures}. Both
-  // EvaluateAllTargetsResumable and the distributed worker
-  // (core/distributed_sweep.h) run every target through it, so their
-  // results are bit-identical.
+  // once with the metadata-only strategy after a fixed 5 ms pause. The
+  // result carries retries and degraded, or failed and error when no attempt
+  // succeeded. Emits the sweep.target_* events and counts
+  // pipeline.target_{retries,degraded,failures}.
+  // EvaluateAllTargetsResumable runs every target through it.
   TargetEvaluation SweepTarget(const PipelineConfig& config,
                                size_t target_dataset, bool degrade_on_failure);
 

@@ -62,87 +62,8 @@ bool IsIntegerBelow(const JsonValue& value, double limit) {
   return v >= 0.0 && v < limit && v == std::floor(v);
 }
 
-}  // namespace
-
-std::string SweepFingerprint(const PipelineConfig& config,
-                             zoo::Modality modality) {
-  std::string fp = ModalityName(modality);
-  fp += "|f=";
-  fp += FeatureSetName(config.strategy.features);
-  fp += "|p=";
-  fp += PredictorKindName(config.strategy.predictor);
-  fp += "|l=" + EmbeddingConfigKey(config);
-  fp += PredictorSettingsKey(config.predictor);
-  fp += "|em=" + std::string(zoo::FineTuneMethodName(config.evaluation_method));
-  fp += "|tl=" + std::to_string(config.use_transferability_labels);
-  // Vector backends round differently from `scalar`, so results computed
-  // under one TG_ISA must not resume or merge under another.
-  fp += "|isa=" + std::string(kernels::ActiveBackendName());
-  return fp;
-}
-
-Status SaveSweepCheckpoint(const std::string& path,
-                           const SweepCheckpoint& checkpoint) {
-  if (TG_FAULT_POINT("checkpoint.write")) {
-    return fault::InjectedFault("checkpoint.write");
-  }
-  std::string json = "{\"schema\":" + std::to_string(kSchemaVersion);
-  json += ",\"build_git_sha\":" + JsonQuote(checkpoint.build_git_sha);
-  json += ",\"fingerprint\":" + JsonQuote(checkpoint.fingerprint);
-  json += ",\"targets\":[";
-  for (size_t i = 0; i < checkpoint.targets.size(); ++i) {
-    if (i > 0) json.push_back(',');
-    AppendTargetEvaluationJson(checkpoint.targets[i], &json);
-  }
-  json += "]}\n";
-  // unique_temp: checkpoints and merged artifacts may be written by several
-  // processes racing on one path (see distributed_sweep.h); a per-writer
-  // temp name keeps every replace whole-file (last-writer-wins, no torn
-  // reads).
-  return WriteFileAtomic(path, json, /*unique_temp=*/true);
-}
-
-Result<SweepCheckpoint> LoadSweepCheckpoint(const std::string& path) {
-  if (TG_FAULT_POINT("checkpoint.read")) {
-    return fault::InjectedFault("checkpoint.read");
-  }
-  Result<std::string> contents = ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  Result<JsonValue> parsed = JsonValue::Parse(contents.value());
-  if (!parsed.ok()) {
-    return BadCheckpoint(path, parsed.status().message());
-  }
-  const JsonValue& root = parsed.value();
-  if (!root.is_object()) return BadCheckpoint(path, "root is not an object");
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || !schema->is_number() ||
-      schema->AsDouble() != kSchemaVersion) {
-    return BadCheckpoint(path, "unsupported schema version");
-  }
-
-  SweepCheckpoint checkpoint;
-  if (const JsonValue* sha = root.Find("build_git_sha");
-      sha != nullptr && sha->is_string()) {
-    checkpoint.build_git_sha = sha->AsString();
-  }
-  if (const JsonValue* fp = root.Find("fingerprint");
-      fp != nullptr && fp->is_string()) {
-    checkpoint.fingerprint = fp->AsString();
-  }
-  const JsonValue* targets = root.Find("targets");
-  if (targets == nullptr || !targets->is_array()) {
-    return BadCheckpoint(path, "missing targets array");
-  }
-  for (size_t i = 0; i < targets->size(); ++i) {
-    Result<TargetEvaluation> eval = ParseTargetEvaluationJson(targets->at(i));
-    if (!eval.ok()) {
-      return BadCheckpoint(path, eval.status().message());
-    }
-    checkpoint.targets.push_back(std::move(eval).value());
-  }
-  return checkpoint;
-}
-
+// The per-target JSON object of the checkpoint's "targets" array. Doubles
+// at %.17g so values round-trip bit-for-bit.
 void AppendTargetEvaluationJson(const TargetEvaluation& eval,
                                 std::string* out) {
   *out += "{\"target_dataset\":" + std::to_string(eval.target_dataset);
@@ -161,6 +82,10 @@ void AppendTargetEvaluationJson(const TargetEvaluation& eval,
   *out += "}";
 }
 
+// Parses and validates one such object (the inverse of the appender);
+// pearson/spearman are recomputed from the stored vectors. InvalidArgument
+// on any malformed, non-finite, or inconsistent field: indices must be
+// integers in [0, 2^53), retries a non-negative int, degraded a bool.
 Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry) {
   if (!entry.is_object()) {
     return Status::InvalidArgument("target not an object");
@@ -213,6 +138,86 @@ Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry) {
   eval.pearson = PearsonCorrelation(eval.predicted, eval.actual);
   eval.spearman = SpearmanCorrelation(eval.predicted, eval.actual);
   return eval;
+}
+
+}  // namespace
+
+std::string SweepFingerprint(const PipelineConfig& config,
+                             zoo::Modality modality) {
+  std::string fp = ModalityName(modality);
+  fp += "|f=";
+  fp += FeatureSetName(config.strategy.features);
+  fp += "|p=";
+  fp += PredictorKindName(config.strategy.predictor);
+  fp += "|l=" + EmbeddingConfigKey(config);
+  fp += PredictorSettingsKey(config.predictor);
+  fp += "|em=" + std::string(zoo::FineTuneMethodName(config.evaluation_method));
+  fp += "|tl=" + std::to_string(config.use_transferability_labels);
+  // Vector backends round differently from `scalar`, so results computed
+  // under one TG_ISA must not resume under another.
+  fp += "|isa=" + std::string(kernels::ActiveBackendName());
+  return fp;
+}
+
+Status SaveSweepCheckpoint(const std::string& path,
+                           const SweepCheckpoint& checkpoint) {
+  if (TG_FAULT_POINT("checkpoint.write")) {
+    return fault::InjectedFault("checkpoint.write");
+  }
+  std::string json = "{\"schema\":" + std::to_string(kSchemaVersion);
+  json += ",\"build_git_sha\":" + JsonQuote(checkpoint.build_git_sha);
+  json += ",\"fingerprint\":" + JsonQuote(checkpoint.fingerprint);
+  json += ",\"targets\":[";
+  for (size_t i = 0; i < checkpoint.targets.size(); ++i) {
+    if (i > 0) json.push_back(',');
+    AppendTargetEvaluationJson(checkpoint.targets[i], &json);
+  }
+  json += "]}\n";
+  // unique_temp: two sweeps given one --checkpoint path race on it; a
+  // per-writer temp name keeps every replace whole-file (last-writer-wins,
+  // no torn reads).
+  return WriteFileAtomic(path, json, /*unique_temp=*/true);
+}
+
+Result<SweepCheckpoint> LoadSweepCheckpoint(const std::string& path) {
+  if (TG_FAULT_POINT("checkpoint.read")) {
+    return fault::InjectedFault("checkpoint.read");
+  }
+  Result<std::string> contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  Result<JsonValue> parsed = JsonValue::Parse(contents.value());
+  if (!parsed.ok()) {
+    return BadCheckpoint(path, parsed.status().message());
+  }
+  const JsonValue& root = parsed.value();
+  if (!root.is_object()) return BadCheckpoint(path, "root is not an object");
+  const JsonValue* schema = root.Find("schema");
+  if (schema == nullptr || !schema->is_number() ||
+      schema->AsDouble() != kSchemaVersion) {
+    return BadCheckpoint(path, "unsupported schema version");
+  }
+
+  SweepCheckpoint checkpoint;
+  if (const JsonValue* sha = root.Find("build_git_sha");
+      sha != nullptr && sha->is_string()) {
+    checkpoint.build_git_sha = sha->AsString();
+  }
+  if (const JsonValue* fp = root.Find("fingerprint");
+      fp != nullptr && fp->is_string()) {
+    checkpoint.fingerprint = fp->AsString();
+  }
+  const JsonValue* targets = root.Find("targets");
+  if (targets == nullptr || !targets->is_array()) {
+    return BadCheckpoint(path, "missing targets array");
+  }
+  for (size_t i = 0; i < targets->size(); ++i) {
+    Result<TargetEvaluation> eval = ParseTargetEvaluationJson(targets->at(i));
+    if (!eval.ok()) {
+      return BadCheckpoint(path, eval.status().message());
+    }
+    checkpoint.targets.push_back(std::move(eval).value());
+  }
+  return checkpoint;
 }
 
 }  // namespace tg::core

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "util/json_util.h"
 #include "util/status.h"
 
 namespace tg::core {
@@ -45,20 +44,6 @@ Status SaveSweepCheckpoint(const std::string& path,
 // pearson/spearman are recomputed from the stored vectors, because the JSON
 // encoder flattens non-finite values. Fault site: "checkpoint.read".
 Result<SweepCheckpoint> LoadSweepCheckpoint(const std::string& path);
-
-// The per-target JSON object used inside the checkpoint's "targets" array.
-// Exposed so distributed-sweep shards (core/distributed_sweep.h) carry the
-// byte-identical encoding: a merge of shards re-serialized through
-// SaveSweepCheckpoint reproduces a serial checkpoint exactly. Doubles at
-// %.17g so values round-trip bit-for-bit.
-void AppendTargetEvaluationJson(const TargetEvaluation& eval,
-                                std::string* out);
-
-// Parses and validates one such object (the inverse of the appender);
-// pearson/spearman are recomputed from the stored vectors. InvalidArgument
-// on any malformed, non-finite, or inconsistent field: indices must be
-// integers in [0, 2^53), retries a non-negative int, degraded a bool.
-Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry);
 
 }  // namespace tg::core
 

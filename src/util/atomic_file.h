@@ -19,8 +19,8 @@
 // Concurrency: with the default shared temp name (`path + ".tmp"`), two
 // writers racing on the SAME final path clobber each other's temp file and
 // can briefly expose a partially-written inode through the final name.
-// Producers that are legitimately raced by other processes (distributed
-// sweep shards, checkpoints, the workdir manifest) pass unique_temp=true:
+// Producers that may be raced by another process (sweep checkpoints: two
+// sweeps given one --checkpoint path) pass unique_temp=true:
 // each writer streams into `path + ".<pid>-<seq>.tmp"`, so the rename is a
 // true whole-file replace and racing writers degrade to last-writer-wins
 // with no torn-read window.

@@ -1,6 +1,6 @@
 // Minimal JSON output + parsing helpers shared by every exporter that
 // hand-writes JSON (trace/metrics exporters, bench timing writer) and every
-// reader of checkpoints, shards and manifests. This is deliberately not a
+// reader of checkpoints and bench histories. This is deliberately not a
 // full JSON library: writers compose strings with JsonEscape/JsonQuote, and
 // one strict recursive-descent parser (JsonValue::Parse) reads documents;
 // JsonValidate is that parser's verdict, used by tests and the CLI to assert

@@ -1,7 +1,13 @@
 // Chaos tests for the resumable leave-one-out sweep: checkpoint resume must
 // be bit-identical to an uninterrupted run at any thread count, randomized
 // fault schedules must never crash the sweep or tear an artifact, and a
-// fault-free rerun after chaos must reproduce the reference exactly.
+// fault-free rerun after chaos must reproduce the reference exactly. A
+// drained sweep resumes to the same bits, and two processes writing one
+// checkpoint path never tear it.
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -17,6 +23,15 @@
 
 namespace tg::core {
 namespace {
+
+// TSan instruments the allocator with process-wide locks; forking while any
+// instrumented thread exists can deadlock the child. The fork-based race
+// runs under the plain and ASan builds instead.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define TG_SKIP_FORK_TESTS 1
+#endif
+#endif
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -42,6 +57,7 @@ class ChaosPipelineTest : public ::testing::Test {
 
   ~ChaosPipelineTest() override {
     fault::ClearFaults();
+    ClearSweepDrain();
     SetThreadCount(0);  // restore the default policy for later tests
   }
 
@@ -193,6 +209,36 @@ TEST_F(ChaosPipelineTest, ResumeIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// A drain requested before the sweep (as tg_cli's SIGTERM handler does)
+// stops it before any target starts; clearing the drain and rerunning with
+// the same checkpoint completes the sweep with the uninterrupted bits.
+TEST_F(ChaosPipelineTest, DrainedSweepResumesBitIdentical) {
+  const PipelineConfig config = FastConfig();
+  const std::vector<TargetEvaluation> reference = PerTargetReference(config);
+  const std::string path = TempPath("checkpoint_drain.json");
+  std::remove(path.c_str());
+  SweepOptions options;
+  options.checkpoint_path = path;
+
+  RequestSweepDrain();
+  const SweepResult drained =
+      pipeline_->EvaluateAllTargetsResumable(config, options);
+  EXPECT_TRUE(drained.drained);
+  EXPECT_FALSE(drained.complete);
+  EXPECT_EQ(drained.failed, 0u);
+  for (const TargetEvaluation& eval : drained.evaluations) {
+    EXPECT_TRUE(eval.predicted.empty()) << eval.target_name;
+  }
+  EXPECT_FALSE(FileExists(path)) << "no target finished, nothing to save";
+
+  ClearSweepDrain();
+  const SweepResult resumed =
+      pipeline_->EvaluateAllTargetsResumable(config, options);
+  EXPECT_FALSE(resumed.drained);
+  EXPECT_TRUE(resumed.complete);
+  ExpectBitIdentical(reference, resumed.evaluations);
+}
+
 TEST_F(ChaosPipelineTest, StaleCheckpointIsIgnoredOnConfigChange) {
   PipelineConfig config = FastConfig();
   const std::string path = TempPath("checkpoint_stale.json");
@@ -289,6 +335,66 @@ TEST_F(ChaosPipelineTest, RandomizedChaosSchedulesNeverCrashOrTear) {
       pipeline_->EvaluateAllTargetsResumable(config, SweepOptions{});
   EXPECT_TRUE(clean.complete);
   ExpectBitIdentical(reference, clean.evaluations);
+}
+
+// Two processes hammering SaveSweepCheckpoint on one path (two sweeps given
+// one --checkpoint): every concurrent read must see a complete, parseable
+// document equal to one writer's full payload (atomic rename =
+// last-writer-wins), never a torn interleaving.
+TEST_F(ChaosPipelineTest, TwoProcessCheckpointRaceNeverTears) {
+#ifdef TG_SKIP_FORK_TESTS
+  GTEST_SKIP() << "fork-based race skipped under TSan";
+#endif
+  const std::string path = TempPath("checkpoint_race.json");
+  std::remove(path.c_str());
+
+  TargetEvaluation small;
+  small.target_dataset = 1;
+  small.target_name = "alpha";
+  small.model_indices = {0, 1};
+  small.predicted = {0.25, 0.5};
+  small.actual = {0.3, 0.6};
+  TargetEvaluation other = small;
+  other.target_name = "beta";
+
+  SweepCheckpoint one;
+  one.build_git_sha = "sha";
+  one.fingerprint = "fp";
+  one.targets = {small};
+  SweepCheckpoint two = one;
+  two.targets = {small, other};
+
+  ASSERT_TRUE(SaveSweepCheckpoint(path, one).ok());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Child: no gtest assertions; report failure via exit code.
+    for (int i = 0; i < 60; ++i) {
+      if (!SaveSweepCheckpoint(path, two).ok()) ::_exit(10);
+    }
+    ::_exit(0);
+  }
+  bool saw_one = false;
+  bool saw_two = false;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(SaveSweepCheckpoint(path, one).ok());
+    Result<SweepCheckpoint> read = LoadSweepCheckpoint(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    const size_t n = read.value().targets.size();
+    ASSERT_TRUE(n == 1 || n == 2) << "torn checkpoint with " << n;
+    (n == 1 ? saw_one : saw_two) = true;
+    EXPECT_EQ(read.value().targets[0].predicted, small.predicted);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_TRUE(saw_one);  // our own writes are visible at minimum
+  // Final state is exactly one writer's complete payload.
+  Result<SweepCheckpoint> last = LoadSweepCheckpoint(path);
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(last.value().targets.size() == 1 ||
+              last.value().targets.size() == 2);
 }
 
 }  // namespace

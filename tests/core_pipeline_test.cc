@@ -226,9 +226,8 @@ TEST(PipelineConfigKeyTest, EveryFieldChangesTheKeys) {
   }
 }
 
-// A checkpoint, shard or manifest written under one kernel backend must not
-// resume or merge under another, so the fingerprint records the active
-// backend.
+// A checkpoint written under one kernel backend must not resume under
+// another, so the fingerprint records the active backend.
 TEST(SweepFingerprintTest, CoversKernelBackend) {
   const std::vector<std::string> names = kernels::AvailableBackendNames();
   if (names.size() < 2) GTEST_SKIP() << "only the scalar backend exists";

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/backoff.h"
 #include "util/csv.h"
 #include "util/json_util.h"
 #include "util/rng.h"
@@ -329,91 +328,6 @@ TEST(JsonValueTest, RoundTripsQuotedStrings) {
   Result<JsonValue> parsed = JsonValue::Parse(JsonQuote(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().AsString(), original);
-}
-
-// --- Backoff ---
-
-TEST(BackoffTest, DeterministicUnderSeed) {
-  BackoffPolicy policy;
-  policy.seed = 42;
-  Backoff a(policy);
-  Backoff b(policy);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(a.NextDelaySec(), b.NextDelaySec()) << "attempt " << i;
-  }
-  EXPECT_EQ(a.attempts(), 10u);
-}
-
-TEST(BackoffTest, DifferentSeedsDesynchronize) {
-  BackoffPolicy pa;
-  pa.seed = 1;
-  BackoffPolicy pb;
-  pb.seed = 2;
-  Backoff a(pa);
-  Backoff b(pb);
-  bool any_different = false;
-  for (int i = 0; i < 8; ++i) {
-    if (a.NextDelaySec() != b.NextDelaySec()) any_different = true;
-  }
-  EXPECT_TRUE(any_different);
-}
-
-TEST(BackoffTest, GrowsExponentiallyWithinJitterBounds) {
-  BackoffPolicy policy;
-  policy.initial_sec = 0.01;
-  policy.multiplier = 2.0;
-  policy.max_sec = 100.0;  // cap out of the way
-  policy.jitter = 0.5;
-  policy.seed = 7;
-  Backoff backoff(policy);
-  double base = policy.initial_sec;
-  for (int i = 0; i < 8; ++i) {
-    const double delay = backoff.NextDelaySec();
-    EXPECT_GE(delay, base * 0.5 - 1e-12) << "attempt " << i;
-    EXPECT_LE(delay, base * 1.5 + 1e-12) << "attempt " << i;
-    base *= policy.multiplier;
-  }
-}
-
-TEST(BackoffTest, CapsAtMaxAndSurvivesManyAttempts) {
-  BackoffPolicy policy;
-  policy.initial_sec = 0.01;
-  policy.max_sec = 0.05;
-  policy.jitter = 0.5;
-  Backoff backoff(policy);
-  // Far past where initial * multiplier^k overflows a double: the delay
-  // must stay finite and capped.
-  for (int i = 0; i < 2000; ++i) {
-    const double delay = backoff.NextDelaySec();
-    EXPECT_GE(delay, 0.0);
-    EXPECT_LE(delay, policy.max_sec);
-  }
-}
-
-TEST(BackoffTest, NoJitterIsExactBaseSequence) {
-  BackoffPolicy policy;
-  policy.initial_sec = 0.01;
-  policy.multiplier = 2.0;
-  policy.max_sec = 0.04;
-  policy.jitter = 0.0;
-  Backoff backoff(policy);
-  EXPECT_DOUBLE_EQ(backoff.NextDelaySec(), 0.01);
-  EXPECT_DOUBLE_EQ(backoff.NextDelaySec(), 0.02);
-  EXPECT_DOUBLE_EQ(backoff.NextDelaySec(), 0.04);
-  EXPECT_DOUBLE_EQ(backoff.NextDelaySec(), 0.04);  // capped
-}
-
-TEST(BackoffTest, ResetRestartsTheSequence) {
-  BackoffPolicy policy;
-  policy.seed = 11;
-  Backoff backoff(policy);
-  std::vector<double> first;
-  for (int i = 0; i < 5; ++i) first.push_back(backoff.NextDelaySec());
-  backoff.Reset();
-  EXPECT_EQ(backoff.attempts(), 0u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(backoff.NextDelaySec(), first[static_cast<size_t>(i)]);
-  }
 }
 
 }  // namespace

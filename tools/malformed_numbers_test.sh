@@ -33,10 +33,6 @@ expect_rejected "$BAD" "$TG_CLI" catalog --models -3
 expect_rejected "$BAD" "$TG_CLI" rank --target 99999999999999999999999
 expect_rejected "$BAD" "$TG_CLI" rank --target 0abc
 expect_rejected "$BAD" "$TG_CLI" rank --target 0 --top x
-expect_rejected "$BAD" "$TG_CLI" sweep --workdir /nonexistent --worker-id w0 \
-    --lease-sec abc
-expect_rejected "$BAD" "$TG_CLI" sweep --workdir /nonexistent --worker-id w0 \
-    --lease-sec nan
 expect_rejected "$BAD" "$TG_CLI" catalog --profile=abc
 expect_rejected "$BAD" "$TG_CLI" catalog --rss-sample 5ms
 # Unknown or misspelled options are rejected, never silently ignored.
@@ -46,6 +42,12 @@ expect_rejected "unknown option --predictr" "$TG_CLI" rank --target 0 \
 # The removed live telemetry flag is unknown, not silently accepted.
 expect_rejected "unknown option --telemetry-port" "$TG_CLI" catalog \
     --telemetry-port 0
+# So are the removed multi-worker sweep options, and `sweep-merge` is an
+# unknown subcommand that prints the usage text.
+expect_rejected "unknown option --workdir" "$TG_CLI" sweep --workdir /tmp
+expect_rejected "unknown option --worker-id" "$TG_CLI" sweep --worker-id w0
+expect_rejected "unknown option --lease-sec" "$TG_CLI" sweep --lease-sec 30
+expect_rejected "usage: tg_cli" "$TG_CLI" sweep-merge
 # bench_history compare has no threshold options: every removed flag is
 # unknown, and a trailing flag without its value is rejected too.
 for ARGS in "--baseline 1" "--max-rss-ratio 1" "--min-counter-cycles 1" \

@@ -4,8 +4,8 @@
 # UndefinedBehaviorSanitizer pass over the kernel layer, the
 # transferability estimators and the zoo path that feeds them, the
 # statistics helpers and the util layer (whose one JSON parser reads every
-# checkpoint, shard and manifest), and
-# the chaos and distributed-sweep tests (any UB report fails it), a
+# checkpoint), and
+# the chaos tests (any UB report fails it), a
 # kernel-backend dispatch gate (kernels_test, autograd_test and gnn_test
 # under TG_ISA=scalar and under the widest host-supported backend, plus a
 # forced-unavailable hard-error check), a
@@ -15,12 +15,10 @@
 # random_forest_fit wall-time ceiling, hardware-counter and peak-RSS ratio
 # gates; the gate's own self-test is the bench_gate_self_test ctest),
 # the decision-tree and random-forest tests plus an RF rank under ASan, a
-# distributed-sweep chaos gate
-# (three workers sharing a workdir with one kill -9'd mid-run: the
-# survivors must reclaim the expired lease and sweep-merge must emit an
-# artifact byte-identical to a serial sweep under TG_THREADS=1 and =4,
-# plus an ASan pass of the claim/lease/merge protocol with injected
-# claim.rename and merge.read faults), an
+# checkpoint resume gate
+# (a checkpointed sweep kill -9'd mid-run and rerun with the same
+# --checkpoint must finish with a checkpoint byte-identical to an
+# uninterrupted sweep's under TG_THREADS=1 and =4, leaving no temp file), an
 # end-to-end smoke check of the tg_cli observability path
 # (--trace/--metrics/--mem/--rss-sample), including validity of the exported
 # Chrome-trace JSON, and a profiling gate: `tg_cli rank --profile` must
@@ -182,18 +180,18 @@ section "chaos gate: fault injection under ASan/UBSan"
 # UB finding fails this gate; only --skip-ubsan skips it.
 cmake -B build-asan -S . -DTG_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-asan -j "$JOBS" \
-    --target fault_injection_test chaos_pipeline_test
-./build-asan/tests/fault_injection_test
-./build-asan/tests/chaos_pipeline_test
-UBSAN_CHAOS_TESTS="fault_injection_test chaos_pipeline_test \
-    distributed_sweep_test"
+CHAOS_TESTS="fault_injection_test chaos_pipeline_test"
+# shellcheck disable=SC2086
+cmake --build build-asan -j "$JOBS" --target $CHAOS_TESTS
+for t in $CHAOS_TESTS; do
+  "./build-asan/tests/$t"
+done
 if [ "$SKIP_UBSAN" -eq 1 ]; then
   echo "(UBSan chaos pass SKIPPED; ASan chaos pass already ran)"
 else
   # shellcheck disable=SC2086
-  cmake --build build-ubsan -j "$JOBS" --target $UBSAN_CHAOS_TESTS
-  for t in $UBSAN_CHAOS_TESTS; do
+  cmake --build build-ubsan -j "$JOBS" --target $CHAOS_TESTS
+  for t in $CHAOS_TESTS; do
     "./build-ubsan/tests/$t"
   done
 fi
@@ -231,93 +229,66 @@ fi
 }
 echo "injected I/O fault handled cleanly (exit $FAULT_CODE)"
 
-section "distributed sweep chaos gate: kill -9, lease reclaim, merge"
-# Three workers share a workdir; one is kill -9'd mid-target. The survivors
-# must steal its expired lease (--lease-sec 2), finish every target, exit 0,
-# and sweep-merge must produce an artifact byte-identical to an
-# uninterrupted serial checkpointed sweep -- under TG_THREADS=1 and =4
-# alike (see docs/robustness.md). The heavy strategy keeps each target slow
-# enough (~seconds) that the kill reliably lands mid-run.
-DIST_DIR="$(mktemp -d /tmp/tg_dist.XXXXXX)"
-trap 'rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
-DIST_FLAGS="--modality image --models 48 \
+section "checkpoint chaos gate: kill -9 mid-sweep, resume bit-identical"
+# A checkpointed sweep is kill -9'd mid-run (after 2.5 s, once its
+# checkpoint holds a target), then rerun with the same --checkpoint, which
+# must resume that target and complete the sweep. The final checkpoint must
+# be byte-identical to an uninterrupted sweep's, under TG_THREADS=1 and =4
+# alike, and no temp file may be left beside it (see docs/robustness.md).
+# The heavy strategy keeps each target slow enough (~1 s) that the kill
+# reliably lands mid-sweep.
+RESUME_DIR="$(mktemp -d /tmp/tg_resume.XXXXXX)"
+trap 'rm -rf "$FAULT_OUT" "$RESUME_DIR"' EXIT
+SWEEP_FLAGS="--modality image --models 48 \
     --learner n2v --features all --predictor xgb"
-# shellcheck disable=SC2086  # DIST_FLAGS is a deliberate word list
-./build-release/tools/tg_cli sweep $DIST_FLAGS \
-    --checkpoint "$DIST_DIR/serial.json" > /dev/null
+# shellcheck disable=SC2086  # SWEEP_FLAGS is a deliberate word list
+./build-release/tools/tg_cli sweep $SWEEP_FLAGS \
+    --checkpoint "$RESUME_DIR/serial.json" > /dev/null
 for T in 1 4; do
-  WD="$DIST_DIR/wd$T"
-  WORKER_PIDS=()
-  for W in 0 1 2; do
-    # shellcheck disable=SC2086
-    TG_THREADS="$T" ./build-release/tools/tg_cli sweep $DIST_FLAGS \
-        --workdir "$WD" --worker-id "w$W" --lease-sec 2 \
-        > "$DIST_DIR/w$W.t$T.log" 2>&1 &
-    WORKER_PIDS[W]=$!
-  done
+  CHECKPOINT="$RESUME_DIR/resumed.t$T.json"
+  # shellcheck disable=SC2086
+  TG_THREADS="$T" ./build-release/tools/tg_cli sweep $SWEEP_FLAGS \
+      --checkpoint "$CHECKPOINT" > "$RESUME_DIR/killed.t$T.log" 2>&1 &
+  SWEEP_PID=$!
   sleep 2.5
-  if kill -9 "${WORKER_PIDS[1]}" 2>/dev/null; then
-    echo "(TG_THREADS=$T: killed worker w1 mid-run)"
+  WAITED=0
+  while [ ! -e "$CHECKPOINT" ] && [ "$WAITED" -lt 600 ] &&
+      kill -0 "$SWEEP_PID" 2>/dev/null; do
+    sleep 0.1
+    WAITED=$((WAITED + 1))
+  done
+  KILLED=0
+  if kill -9 "$SWEEP_PID" 2>/dev/null; then
+    KILLED=1
+    echo "(TG_THREADS=$T: killed the sweep mid-run)"
   else
-    echo "(TG_THREADS=$T: w1 finished before the kill; reclaim not" \
+    echo "(TG_THREADS=$T: the sweep finished before the kill; resume not" \
         "exercised this round)"
   fi
-  wait "${WORKER_PIDS[1]}" 2>/dev/null || true
-  for W in 0 2; do
-    wait "${WORKER_PIDS[W]}" || {
-      echo "surviving worker w$W (TG_THREADS=$T) exited non-zero" >&2
-      cat "$DIST_DIR/w$W.t$T.log" >&2
-      exit 1
-    }
-  done
+  wait "$SWEEP_PID" 2>/dev/null || true
   # shellcheck disable=SC2086
-  ./build-release/tools/tg_cli sweep-merge $DIST_FLAGS --workdir "$WD" \
-      --out "$WD/merged.json"
-  cmp "$DIST_DIR/serial.json" "$WD/merged.json" || {
-    echo "merged artifact (TG_THREADS=$T) differs from the serial sweep" >&2
+  TG_THREADS="$T" ./build-release/tools/tg_cli sweep $SWEEP_FLAGS \
+      --checkpoint "$CHECKPOINT" > "$RESUME_DIR/resumed.t$T.log" 2>&1 || {
+    echo "resumed sweep (TG_THREADS=$T) exited non-zero" >&2
+    cat "$RESUME_DIR/resumed.t$T.log" >&2
     exit 1
   }
-  echo "TG_THREADS=$T: survivors reclaimed and merged bit-identical"
-done
-
-# The same protocol under ASan with a 20% injected claim-rename failure
-# rate: claim losses must stay transient (workers retry and finish), the
-# merge must survive a transient read fault, and the artifact must still be
-# byte-identical to a serial sweep from the SAME ASan binary (cross-binary
-# byte comparisons would conflate FP codegen differences with protocol
-# bugs). Fast strategy: ASan makes the heavy one needlessly slow here.
-cmake --build build-asan -j "$JOBS" --target tg_cli distributed_sweep_test
-./build-asan/tests/distributed_sweep_test
-ASAN_FLAGS="--modality image --models 48 \
-    --learner none --features metadata --predictor lr"
-# shellcheck disable=SC2086
-./build-asan/tools/tg_cli sweep $ASAN_FLAGS \
-    --checkpoint "$DIST_DIR/asan_serial.json" > /dev/null
-ASAN_WD="$DIST_DIR/asan_wd"
-ASAN_PIDS=()
-for W in 0 1; do
-  # shellcheck disable=SC2086
-  TG_FAULT="claim.rename=prob:0.2:seed:1$W" \
-      ./build-asan/tools/tg_cli sweep $ASAN_FLAGS \
-      --workdir "$ASAN_WD" --worker-id "w$W" --lease-sec 2 \
-      > "$DIST_DIR/asan_w$W.log" 2>&1 &
-  ASAN_PIDS[W]=$!
-done
-for W in 0 1; do
-  wait "${ASAN_PIDS[W]}" || {
-    echo "ASan worker w$W under claim.rename=prob:0.2 exited non-zero" >&2
-    cat "$DIST_DIR/asan_w$W.log" >&2
+  RESUMED="$(grep -o '[0-9]* resumed' "$RESUME_DIR/resumed.t$T.log")"
+  if [ "$KILLED" -eq 1 ] && [ "$RESUMED" = "0 resumed" ]; then
+    echo "rerun (TG_THREADS=$T) resumed nothing from the killed sweep" >&2
+    exit 1
+  fi
+  cmp "$RESUME_DIR/serial.json" "$CHECKPOINT" || {
+    echo "resumed checkpoint (TG_THREADS=$T) differs from the" \
+        "uninterrupted sweep" >&2
     exit 1
   }
+  if ls "$RESUME_DIR"/*.tmp >/dev/null 2>&1; then
+    echo "kill -9 left checkpoint temp files:" "$RESUME_DIR"/*.tmp >&2
+    exit 1
+  fi
+  echo "TG_THREADS=$T: $RESUMED, checkpoint bit-identical"
 done
-# shellcheck disable=SC2086
-TG_FAULT="merge.read=hit:2" ./build-asan/tools/tg_cli sweep-merge \
-    $ASAN_FLAGS --workdir "$ASAN_WD" --out "$ASAN_WD/merged.json"
-cmp "$DIST_DIR/asan_serial.json" "$ASAN_WD/merged.json" || {
-  echo "ASan faulted-claim merge differs from the ASan serial sweep" >&2
-  exit 1
-}
-echo "ASan claim-fault workers + faulted merge stayed bit-identical"
 
 section "random forest under ASan"
 # The tree's bootstrap order expansion (decision_tree.cc) stores four copies
@@ -335,7 +306,7 @@ echo "RF rank passed under ASan"
 section "tg_cli trace/metrics smoke check"
 TRACE_FILE="$(mktemp /tmp/tg_trace.XXXXXX.json)"
 trap 'rm -f "$TRACE_FILE"; \
-     rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
+     rm -rf "$FAULT_OUT" "$RESUME_DIR"' EXIT
 # TG_THREADS=2 forces the pool path so the trace includes pool_drain spans
 # (worker-side parent handoff) even on a single-core machine. --mem and
 # --rss-sample exercise the allocation accounting and the background RSS
@@ -372,7 +343,7 @@ section "profiler + hardware-counter gate"
 # rank run well-sampled without phase-locking against periodic work.
 PROF_DIR="$(mktemp -d /tmp/tg_prof.XXXXXX)"
 trap 'rm -f "$TRACE_FILE"; \
-     rm -rf "$FAULT_OUT" "$PROF_DIR" "$DIST_DIR"' EXIT
+     rm -rf "$FAULT_OUT" "$PROF_DIR" "$RESUME_DIR"' EXIT
 TG_THREADS=2 ./build-release/tools/tg_cli rank --modality image --target 0 \
     --profile=997 --profile-out "$PROF_DIR/profile.collapsed" \
     --perf-counters | tee "$PROF_DIR/stdout.txt"

@@ -6,20 +6,9 @@
 //   sweep [options]                 evaluate every target (resumable via
 //                                   --checkpoint FILE; --no-degrade turns
 //                                   off the metadata-only failure fallback).
-//                                   With --workdir DIR --worker-id K the
-//                                   process joins a distributed sweep: N
-//                                   such workers claim targets from DIR via
-//                                   atomic-rename leases, steal leases idle
-//                                   longer than --lease-sec (default 30),
-//                                   and survive each other's kill -9.
 //                                   SIGTERM/SIGINT drain gracefully: the
-//                                   in-flight target finishes, the lease is
-//                                   released, and the process exits 0.
-//   sweep-merge --workdir DIR       validate every shard of a distributed
-//                                   sweep (duplicates, missing, torn,
-//                                   stale-build) and write --out (default
-//                                   DIR/merged.json) bit-identical to a
-//                                   serial sweep's final checkpoint
+//                                   in-flight targets finish and are
+//                                   checkpointed, and the process exits 0.
 //   graph-stats [--modality M]      Table II-style graph statistics
 //   export-graph --out FILE         write the constructed graph as TSV
 //   export-history --out FILE       write the training history as CSV
@@ -61,12 +50,10 @@
 //                   reason counters were unavailable; also TG_PERF_COUNTERS=1
 //   TG_EVENT_LOG=F  route every log line, slow span close, and sweep
 //                   progress event to F as structured JSON lines; `tail -f F`
-//                   is the live view of a running sweep (a distributed
-//                   worker also refreshes DIR/workers/K/heartbeat.json)
+//                   is the live view of a running sweep
 #include <algorithm>
 #include <cctype>
 #include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -78,7 +65,6 @@
 #include <vector>
 
 #include "core/baselines.h"
-#include "core/distributed_sweep.h"
 #include "core/graph_builder.h"
 #include "core/pipeline.h"
 #include "core/recommender.h"
@@ -112,7 +98,6 @@ struct CliArgs {
   bool numeric_target = false;  // --target starts with a digit...
   size_t target_index = 0;      // ...and indexes the evaluation targets
   size_t top = 10;           // --top
-  double lease_sec = 30.0;   // --lease-sec
   int profile_hz = 0;        // --profile=HZ; 0 = the default rate
   int rss_sample_ms = -1;    // --rss-sample; -1 = off
 
@@ -129,20 +114,14 @@ struct CliArgs {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: tg_cli <catalog|rank|sweep|sweep-merge|graph-stats|"
+               "usage: tg_cli <catalog|rank|sweep|graph-stats|"
                "export-graph|export-history|backend|profile> "
                "[--option value ...]\n"
                "  rank requires --target <dataset name | evaluation index>\n"
                "  sweep evaluates every target; --checkpoint FILE resumes an\n"
                "    interrupted sweep, --no-degrade disables the metadata-only\n"
-               "    retry for failed targets (see docs/robustness.md)\n"
-               "  sweep --workdir DIR --worker-id K [--lease-sec S] joins a\n"
-               "    distributed sweep: workers claim targets via atomic-rename\n"
-               "    leases and reclaim leases idle longer than S (default 30);\n"
+               "    retry for failed targets (see docs/robustness.md);\n"
                "    SIGTERM drains gracefully (finish in-flight, exit 0)\n"
-               "  sweep-merge --workdir DIR [--out FILE] validates every shard\n"
-               "    and writes the merged artifact (default DIR/merged.json),\n"
-               "    bit-identical to a serial sweep checkpoint\n"
                "  export-* require --out <path>\n"
                "  observability: --trace FILE (Chrome trace JSON), "
                "--metrics (stage table + counters after rank),\n"
@@ -161,8 +140,8 @@ int Usage() {
 // SIGTERM/SIGINT request a graceful sweep drain instead of killing the
 // process mid-write: the handler is one async-signal-safe atomic store, the
 // sweep loops poll it between targets, and the process exits 0 with its
-// checkpoint/leases consistent. A second signal falls back to the default
-// disposition (the handler resets itself), so a stuck worker can still be
+// checkpoint consistent. A second signal falls back to the default
+// disposition (the handler resets itself), so a stuck sweep can still be
 // interrupted the hard way.
 void HandleDrainSignal(int /*signum*/) { core::RequestSweepDrain(); }
 
@@ -207,9 +186,9 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
 }
 
 // Parses the numeric options into `args`. A value that is not a whole number
-// (for --lease-sec, a positive finite number) or that overflows its field is
-// an InvalidArgument naming the option. --profile and --rss-sample may also
-// be given bare, which keeps their default.
+// or that overflows its field is an InvalidArgument naming the option.
+// --profile and --rss-sample may also be given bare, which keeps their
+// default.
 Status ParseNumericOptions(CliArgs* args) {
   auto bad = [&](const std::string& key) {
     return Status::InvalidArgument("--" + key + ": not a valid number: " +
@@ -233,12 +212,6 @@ Status ParseNumericOptions(CliArgs* args) {
   if (args->numeric_target &&
       !whole("target", SIZE_MAX, false, &args->target_index)) {
     return bad("target");
-  }
-  const std::string lease = args->Get("lease-sec", "");
-  if (!lease.empty() &&
-      (!ParseDouble(lease, &args->lease_sec) ||
-       !std::isfinite(args->lease_sec) || args->lease_sec <= 0.0)) {
-    return bad("lease-sec");
   }
   if (!whole("profile", INT_MAX, true, &args->profile_hz)) {
     return bad("profile");
@@ -369,6 +342,24 @@ void PrintStageTable(const obs::MetricsSnapshot& cold,
   table.Print();
 }
 
+// The strategy flags (--learner, --predictor, --features) of rank and sweep.
+Result<core::PipelineConfig> PipelineConfigFrom(const CliArgs& args) {
+  Result<core::GraphLearner> learner = ParseLearner(args.Get("learner",
+                                                             "n2v"));
+  Result<core::PredictorKind> predictor =
+      ParsePredictor(args.Get("predictor", "xgb"));
+  Result<core::FeatureSet> features = ParseFeatures(args.Get("features",
+                                                             "all"));
+  if (!learner.ok()) return learner.status();
+  if (!predictor.ok()) return predictor.status();
+  if (!features.ok()) return features.status();
+  core::PipelineConfig config;
+  config.strategy.learner = learner.value();
+  config.strategy.predictor = predictor.value();
+  config.strategy.features = features.value();
+  return config;
+}
+
 int RunRank(const CliArgs& args) {
   const std::string target_name = args.Get("target", "");
   if (target_name.empty() || target_name == "true") return Usage();
@@ -406,17 +397,9 @@ int RunRank(const CliArgs& args) {
     return 1;
   }
 
-  core::PipelineConfig config;
-  Result<core::GraphLearner> learner = ParseLearner(args.Get("learner",
-                                                             "n2v"));
-  Result<core::PredictorKind> predictor =
-      ParsePredictor(args.Get("predictor", "xgb"));
-  Result<core::FeatureSet> features = ParseFeatures(args.Get("features",
-                                                             "all"));
-  if (!learner.ok() || !predictor.ok() || !features.ok()) return Usage();
-  config.strategy.learner = learner.value();
-  config.strategy.predictor = predictor.value();
-  config.strategy.features = features.value();
+  Result<core::PipelineConfig> parsed_config = PipelineConfigFrom(args);
+  if (!parsed_config.ok()) return Usage();
+  const core::PipelineConfig& config = parsed_config.value();
 
   core::Pipeline pipeline(&zoo, zoo.datasets()[target].modality);
   core::TargetEvaluation evaluation =
@@ -458,107 +441,6 @@ int RunRank(const CliArgs& args) {
   return 0;
 }
 
-// Strategy flags shared by `sweep`, the distributed worker branch, and
-// `sweep-merge` -- the merger must resolve the exact same PipelineConfig
-// (and hence SweepFingerprint) as the workers whose shards it validates.
-Result<core::PipelineConfig> SweepConfigFrom(const CliArgs& args) {
-  Result<core::GraphLearner> learner = ParseLearner(args.Get("learner",
-                                                             "n2v"));
-  Result<core::PredictorKind> predictor =
-      ParsePredictor(args.Get("predictor", "xgb"));
-  Result<core::FeatureSet> features = ParseFeatures(args.Get("features",
-                                                             "all"));
-  if (!learner.ok()) return learner.status();
-  if (!predictor.ok()) return predictor.status();
-  if (!features.ok()) return features.status();
-  core::PipelineConfig config;
-  config.strategy.learner = learner.value();
-  config.strategy.predictor = predictor.value();
-  config.strategy.features = features.value();
-  return config;
-}
-
-// Distributed worker: claim/steal/evaluate/publish against a shared
-// --workdir until the whole sweep is resolved or a drain is requested.
-// Exercised by the distributed chaos gate in tools/run_checks.sh.
-int RunSweepWorkerCli(const CliArgs& args, const core::PipelineConfig& config,
-                      zoo::Modality modality) {
-  core::DistributedSweepOptions options;
-  options.workdir = args.Get("workdir", "");
-  options.worker_id = args.Get("worker-id", "");
-  options.lease_sec = args.lease_sec;
-  options.degrade_on_failure = !args.Flag("no-degrade");
-  if (options.worker_id.empty() || options.worker_id == "true") {
-    std::fprintf(stderr, "sweep --workdir requires --worker-id\n");
-    return Usage();
-  }
-
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
-  core::Pipeline pipeline(&zoo, modality);
-  Result<core::WorkerReport> ran =
-      core::RunSweepWorker(&pipeline, config, options);
-  if (!ran.ok()) {
-    std::fprintf(stderr, "%s\n", ran.status().ToString().c_str());
-    return 1;
-  }
-  const core::WorkerReport& report = ran.value();
-  std::printf("worker %s: sweep %s, %zu/%zu targets evaluated here, "
-              "%zu claims, %zu steals, %zu lease expiries, %zu retried, "
-              "%zu degraded, %zu failed, %zu tmp reclaimed%s\n",
-              options.worker_id.c_str(),
-              report.complete ? "complete" : "incomplete", report.evaluated,
-              report.targets_total, report.claims, report.steals,
-              report.lease_expiries, report.retried, report.degraded,
-              report.failed, report.tmp_reclaimed,
-              report.drained ? " (drained)" : "");
-  for (const std::string& error : report.errors) {
-    std::fprintf(stderr, "worker %s: %s\n", options.worker_id.c_str(),
-                 error.c_str());
-  }
-  // A drain (SIGTERM/SIGINT) is a clean, orchestrated exit: the in-flight
-  // target finished, the lease pool is consistent, and a restarted worker
-  // resumes exactly where this one stopped.
-  if (report.drained) return 0;
-  if (!report.complete || report.failed > 0) return 1;
-  return 0;
-}
-
-int RunSweepMerge(const CliArgs& args) {
-  Result<zoo::Modality> modality = ParseModality(args.Get("modality",
-                                                          "image"));
-  if (!modality.ok()) return Usage();
-  Result<core::PipelineConfig> config = SweepConfigFrom(args);
-  if (!config.ok()) return Usage();
-  const std::string workdir = args.Get("workdir", "");
-  if (workdir.empty() || workdir == "true") {
-    std::fprintf(stderr, "sweep-merge requires --workdir\n");
-    return Usage();
-  }
-  std::string out = args.Get("out", "");
-  if (out.empty() || out == "true") out = workdir + "/merged.json";
-
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
-  core::Pipeline pipeline(&zoo, modality.value());
-  Result<core::MergeReport> merged =
-      core::MergeSweepShards(&pipeline, config.value(), workdir, out);
-  if (!merged.ok()) {
-    std::fprintf(stderr, "%s\n", merged.status().ToString().c_str());
-    return 1;
-  }
-  const core::MergeReport& report = merged.value();
-  if (!report.ok()) {
-    std::fprintf(stderr, "sweep-merge: %zu/%zu shards unusable:\n",
-                 report.problems.size(), report.targets_total);
-    for (const std::string& problem : report.problems) {
-      std::fprintf(stderr, "  %s\n", problem.c_str());
-    }
-    return 1;
-  }
-  std::printf("merged %zu shards -> %s\n", report.merged,
-              report.artifact_path.c_str());
-  return 0;
-}
-
 // Leave-one-out sweep over every evaluation target of the modality, with
 // graceful degradation and optional --checkpoint resume. Exercised by the
 // chaos gate in tools/run_checks.sh; see docs/robustness.md.
@@ -566,14 +448,9 @@ int RunSweep(const CliArgs& args) {
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
-  Result<core::PipelineConfig> parsed_config = SweepConfigFrom(args);
+  Result<core::PipelineConfig> parsed_config = PipelineConfigFrom(args);
   if (!parsed_config.ok()) return Usage();
   const core::PipelineConfig& config = parsed_config.value();
-
-  const std::string workdir = args.Get("workdir", "");
-  if (!workdir.empty() && workdir != "true") {
-    return RunSweepWorkerCli(args, config, modality.value());
-  }
 
   core::SweepOptions options;
   options.checkpoint_path = args.Get("checkpoint", "");
@@ -697,7 +574,6 @@ int Dispatch(const CliArgs& args) {
     return RunRank(args);
   }
   if (args.command == "sweep") return RunSweep(args);
-  if (args.command == "sweep-merge") return RunSweepMerge(args);
   if (args.command == "graph-stats") return RunGraphStats(args);
   if (args.command == "export-graph") return RunExportGraph(args);
   if (args.command == "export-history") return RunExportHistory(args);
@@ -714,12 +590,11 @@ int Run(int argc, char** argv) {
   // Every key read through Get/Flag or ParseNumericOptions. A misspelled
   // option must not pass silently: the run would drop the setting.
   static const char* const kKnown[] = {
-      "checkpoint",    "features",  "learner",     "lease-sec",
-      "log-level",     "logme",     "mem",         "metrics",
-      "modality",      "models",    "no-degrade",  "out",
-      "perf-counters", "predictor", "profile",     "profile-out",
-      "rss-sample",    "target",    "top",         "trace",
-      "worker-id",     "workdir"};
+      "checkpoint",    "features",  "learner",     "log-level",
+      "logme",         "mem",       "metrics",     "modality",
+      "models",        "no-degrade", "out",        "perf-counters",
+      "predictor",     "profile",   "profile-out", "rss-sample",
+      "target",        "top",       "trace"};
   for (const auto& [key, value] : args.options) {
     if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
         std::end(kKnown)) {
@@ -747,8 +622,8 @@ int Run(int argc, char** argv) {
   if (args.Flag("perf-counters")) obs::SetPerfCountersEnabled(true);
   obs::SetCurrentThreadName("main");
 
-  // Graceful shutdown for long sweeps (serial or distributed): SIGTERM and
-  // SIGINT drain instead of killing mid-write.
+  // Graceful shutdown for long sweeps: SIGTERM and SIGINT drain instead of
+  // killing mid-write.
   if (args.command == "sweep") InstallDrainHandlers();
 
   // Structured event log (TG_EVENT_LOG): the live view of a running sweep.
