@@ -29,23 +29,17 @@ Var MakeOp(Matrix value, std::vector<Var> parents,
   return node;
 }
 
-// For i in order: out[to[i]] += rows[from[i]] * scale[i]. Each product row
-// is rounded by kernels::Scale before kernels::Add accumulates it; both are
-// one IEEE operation per element on every backend, so this equals gathering,
-// scaling and scatter-adding whole (edges x dim) matrices bit for bit.
-// (kernels::Axpy into a non-zero row would contract to FMA on vector
-// backends and break that.)
+// For i in order: out[to[i]] += rows[from[i]] * scale[i], each product
+// rounded before its add (kernels::ScatterScaledAdd, bit-identical on every
+// backend), so this equals gathering, scaling and scatter-adding whole
+// (edges x dim) matrices bit for bit. (kernels::Axpy into a non-zero row
+// would contract to FMA on vector backends and break that.)
 void ScaledScatterAdd(const Matrix& rows, const std::vector<size_t>& from,
                       const std::vector<size_t>& to, const double* scale,
                       Matrix* out) {
-  const size_t d = rows.cols();
-  std::vector<double> term(d);
-  for (size_t i = 0; i < from.size(); ++i) {
-    const double* src = rows.RowPtr(from[i]);
-    std::copy(src, src + d, term.data());
-    kernels::Scale(term.data(), scale[i], d);
-    kernels::Add(out->RowPtr(to[i]), term.data(), d);
-  }
+  TG_CHECK_EQ(rows.cols(), out->cols());
+  kernels::ScatterScaledAdd(rows.data(), rows.cols(), from.data(), to.data(),
+                            scale, from.size(), out->data());
 }
 
 }  // namespace
@@ -187,18 +181,20 @@ Var ConcatCols(const Var& a, const Var& b) {
 
 namespace {
 
-// Helper for f(x) ops whose derivative is a function of (x, f(x)).
-Var ElementwiseOp(const Var& a, const std::function<double(double)>& fwd,
-                  const std::function<double(double, double)>& dfdx) {
-  Matrix out = a->value().Map(fwd);
+// Helper for f(x) ops whose derivative is a function of (x, f(x)). The
+// functors are template parameters, so both passes inline them.
+template <typename Forward, typename Derivative>
+Var ElementwiseOp(const Var& a, Forward fwd, Derivative dfdx) {
+  Matrix out = a->value();
+  double* od = out.data();
+  for (size_t i = 0; i < out.size(); ++i) od[i] = fwd(od[i]);
   Matrix saved = out;  // captured by value in the closure
   return MakeOp(std::move(out), {a},
                 [a, saved, dfdx](const Matrix& g) {
                   // Fill the derivative flat, then one elementwise-multiply
-                  // kernel pass by g. Same single IEEE multiply per element
-                  // as the old g * dfdx loop (Mul is bit-identical across
-                  // every backend), but the std::function call stays out of
-                  // a 2-D indexed loop and the multiply vectorizes.
+                  // kernel pass by g: the same single IEEE multiply per
+                  // element as a g * dfdx loop (Mul is bit-identical across
+                  // every backend), and the multiply vectorizes.
                   Matrix ga(g.rows(), g.cols());
                   const size_t n = g.size();
                   const double* av = a->value().data();

@@ -1,5 +1,6 @@
 #include "autograd/tape.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "numeric/kernels.h"
@@ -7,16 +8,26 @@
 
 namespace tg::autograd {
 
+void Node::EnsureGrad() {
+  if (!grad_.empty()) return;
+  if (spare_grad_.SameShape(value_)) {
+    grad_ = std::exchange(spare_grad_, Matrix());
+    std::fill(grad_.data(), grad_.data() + grad_.size(), 0.0);
+  } else {
+    grad_ = Matrix(value_.rows(), value_.cols());
+  }
+}
+
 void Node::AccumulateGrad(const Matrix& delta) {
   if (!requires_grad_ && !has_backward()) return;
-  if (grad_.empty()) grad_ = Matrix(value_.rows(), value_.cols());
+  EnsureGrad();
   TG_CHECK(grad_.SameShape(delta));
   grad_ += delta;
 }
 
 void Node::AccumulateGradMulAdd(const Matrix& g, const Matrix& scale) {
   if (!requires_grad_ && !has_backward()) return;
-  if (grad_.empty()) grad_ = Matrix(value_.rows(), value_.cols());
+  EnsureGrad();
   TG_CHECK(grad_.SameShape(g));
   TG_CHECK(grad_.SameShape(scale));
   kernels::MulAdd(grad_.data(), g.data(), scale.data(), grad_.size());

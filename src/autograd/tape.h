@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "numeric/matrix.h"
@@ -47,7 +48,12 @@ class Node {
   // FMA within the documented ulp envelope.
   void AccumulateGradMulAdd(const Matrix& g, const Matrix& scale);
 
-  void ZeroGrad() { grad_ = Matrix(); }
+  // Empties the gradient. Its storage is kept for the next accumulation,
+  // which zeroes it again: a training loop then reuses its parameters'
+  // gradient blocks instead of freeing and faulting them in every step.
+  void ZeroGrad() {
+    if (!grad_.empty()) spare_grad_ = std::exchange(grad_, Matrix());
+  }
 
   // --- Graph-construction internals (used by ops.cc) ---
   void set_parents(std::vector<Var> parents) { parents_ = std::move(parents); }
@@ -61,8 +67,12 @@ class Node {
   }
 
  private:
+  // Sizes an empty grad_ to zeros, in spare_grad_'s storage if it fits.
+  void EnsureGrad();
+
   Matrix value_;
   Matrix grad_;
+  Matrix spare_grad_;  // grad_'s storage between ZeroGrad and the next step
   bool requires_grad_;
   std::vector<Var> parents_;
   std::function<void(const Matrix&)> backward_;

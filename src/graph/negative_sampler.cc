@@ -1,7 +1,8 @@
 #include "graph/negative_sampler.h"
 
+#include <algorithm>
 #include <cmath>
-#include <set>
+#include <cstdint>
 
 #include "util/check.h"
 
@@ -49,8 +50,12 @@ std::vector<std::pair<NodeId, NodeId>> SampleNegativeEdges(const Graph& graph,
                                                            Rng* rng) {
   const size_t n = graph.num_nodes();
   TG_CHECK_GT(n, 1u);
+  // taken[a * n + b], a < b: an edge of the graph, or a pair already drawn.
+  std::vector<uint8_t> taken(n * n, 0);
+  for (const EdgeRecord& e : graph.edges()) {
+    taken[std::min(e.src, e.dst) * n + std::max(e.src, e.dst)] = 1;
+  }
   std::vector<std::pair<NodeId, NodeId>> out;
-  std::set<std::pair<NodeId, NodeId>> seen;
   out.reserve(count);
   size_t attempts = 0;
   const size_t max_attempts = count * 200 + 1000;
@@ -60,9 +65,9 @@ std::vector<std::pair<NodeId, NodeId>> SampleNegativeEdges(const Graph& graph,
     NodeId b = static_cast<NodeId>(rng->NextBelow(n));
     if (a == b) continue;
     if (a > b) std::swap(a, b);
-    if (seen.count({a, b}) > 0) continue;
-    if (graph.HasEdgeBetween(a, b)) continue;
-    seen.insert({a, b});
+    uint8_t& slot = taken[a * n + b];
+    if (slot != 0) continue;
+    slot = 1;
     out.emplace_back(a, b);
   }
   return out;

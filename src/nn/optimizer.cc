@@ -42,26 +42,21 @@ Adam::Adam(std::vector<autograd::Var> params, double lr, double beta1,
 
 void Adam::Step() {
   ++step_count_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_count_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
+  const kernels::AdamCoefficients c = {
+      beta1_,
+      1.0 - beta1_,
+      beta2_,
+      1.0 - beta2_,
+      1.0 - std::pow(beta1_, static_cast<double>(step_count_)),
+      1.0 - std::pow(beta2_, static_cast<double>(step_count_)),
+      lr_,
+      eps_,
+      weight_decay_};
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     if (p->grad().empty()) continue;
-    const size_t n = p->value().size();
-    const double* gd = p->grad().data();
-    if (weight_decay_ > 0.0) {
-      // g + wd * value with the product rounded before the add, built in a
-      // buffer reused across steps and parameters.
-      decayed_.assign(p->value().data(), p->value().data() + n);
-      kernels::Scale(decayed_.data(), weight_decay_, n);
-      kernels::Add(decayed_.data(), gd, n);
-      gd = decayed_.data();
-    }
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    kernels::ScaleAdd(m.data(), beta1_, 1.0 - beta1_, gd, n);
-    kernels::AdamUpdate(p->mutable_value().data(), m.data(), v.data(), gd, n,
-                        {beta2_, 1.0 - beta2_, bc1, bc2, lr_, eps_});
+    kernels::AdamStep(p->mutable_value().data(), p->grad().data(),
+                      m_[i].data(), v_[i].data(), p->value().size(), c);
   }
 }
 

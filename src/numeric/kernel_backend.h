@@ -28,7 +28,9 @@
 // contract mul+add to FMA, so they differ from `scalar` by bounded ulps --
 // exact mode (TG_ISA=scalar) for reproducing seed outputs and golden tests,
 // fast mode (auto) for production. tests/kernels_test.cc pins the envelope
-// per backend against the entries of ScalarBackend().
+// per backend against the entries of ScalarBackend(). The entries that
+// round one operation at a time -- add/sub/mul/scale, scatter_scaled_add
+// and replicated_mean -- are bit-identical across every backend.
 #ifndef TG_NUMERIC_KERNEL_BACKEND_H_
 #define TG_NUMERIC_KERNEL_BACKEND_H_
 
@@ -63,6 +65,12 @@ struct KernelBackend {
   // backends may contract to FMA (ulp envelope, like axpy); the scalar
   // backend performs the two-rounding mul-then-add sequence.
   void (*mul_add)(double* z, const double* x, const double* y, size_t n);
+  // Kernels::ScatterScaledAdd. Each product rounds before its add: the avx
+  // and neon TUs compile this entry with contraction turned off, so like
+  // the four elementwise kernels it is bit-identical across backends.
+  void (*scatter_scaled_add)(const double* rows, size_t d, const size_t* from,
+                             const size_t* to, const double* scale, size_t e,
+                             double* out);
   // The k dots first, as independent chains each in this backend's `dot`
   // lane order; then, per element in pair order, the same update operations
   // as k one-row calls. Bit-identical to those calls within the backend.
@@ -87,13 +95,15 @@ struct KernelBackend {
   // each element one call of this backend's `dot`.
   void (*matmul_transposed)(size_t m, size_t p, size_t n, const double* a,
                             const double* b, double* out);
-  // Kernels::AdamUpdate. Each operation rounds on its own: the base x86 ISA
-  // has no FMA, and the avx TUs, where GCC would contract intrinsic
-  // mul-then-add pairs too, compile this entry with contraction turned off.
-  // So on x86 it is bit-identical across backends; on aarch64 every backend
-  // runs the same C++ loop as the base TU.
-  void (*adam_update)(double* value, const double* m, double* v,
-                      const double* g, size_t n, const AdamCoefficients& c);
+  // Kernels::AdamStep: AdamStepChunks (numeric/adam_step_chunks.h) over
+  // this TU's own Scale, Add and ScaleAdd and its Adam update. The update
+  // rounds each operation on its own: the base x86 ISA has no FMA, and the
+  // avx TUs, where GCC would contract intrinsic mul-then-add pairs too,
+  // compile it with contraction turned off. So on x86 the v and value
+  // updates are bit-identical across backends; on aarch64 every backend
+  // runs the same C++ update loop as the base TU.
+  void (*adam_step)(double* value, const double* grad, double* m, double* v,
+                    size_t n, const AdamCoefficients& c);
 };
 
 // The fixed-order scalar table; always compiled, always supported.

@@ -92,6 +92,15 @@ void MulAdd(double* z, const double* x, const double* y, size_t n) {
   ActiveBackend().mul_add(z, x, y, n);
 }
 
+// --- Message passing -------------------------------------------------------
+
+void ScatterScaledAdd(const double* rows, size_t d, const size_t* from,
+                      const size_t* to, const double* scale, size_t e,
+                      double* out) {
+  TG_COUNT_KERNEL("scatter_scaled_add");
+  ActiveBackend().scatter_scaled_add(rows, d, from, to, scale, e, out);
+}
+
 // --- Fused skip-gram context update -----------------------------------------
 
 void FusedContextUpdate(const double* w, double* const* rows,
@@ -118,10 +127,10 @@ void MatMulTransposed(size_t m, size_t p, size_t n, const double* a,
 
 // --- Adam ------------------------------------------------------------------
 
-void AdamUpdate(double* value, const double* m, double* v, const double* g,
-                size_t n, const AdamCoefficients& c) {
-  TG_COUNT_KERNEL("adam_update");
-  ActiveBackend().adam_update(value, m, v, g, n, c);
+void AdamStep(double* value, const double* grad, double* m, double* v,
+              size_t n, const AdamCoefficients& c) {
+  TG_COUNT_KERNEL("adam_step");
+  ActiveBackend().adam_step(value, grad, m, v, n, c);
 }
 
 // --- Replica averaging -------------------------------------------------------

@@ -13,8 +13,8 @@
 // hash of every scalar entry on adversarial lengths (0, 1, dim +/- 1,
 // unaligned tails). Vector backends reassociate reductions and contract to
 // FMA, staying within the ulp envelope documented in docs/performance.md;
-// Add/Sub/Mul/Scale and ReplicatedMean are bit-identical across ALL backends
-// (one IEEE operation per element / per step).
+// Add/Sub/Mul/Scale, ScatterScaledAdd and ReplicatedMean are bit-identical
+// across ALL backends (one IEEE operation per element / per step).
 //
 // Kernel order for reductions over n elements: four interleaved partial
 // accumulators acc[j] (j = i mod 4) over the largest multiple-of-4 prefix,
@@ -95,6 +95,19 @@ void ScaleAdd(double* y, double alpha, double beta, const double* x, size_t n);
 // arrays may alias.
 void MulAdd(double* z, const double* x, const double* y, size_t n);
 
+// --- Message passing -------------------------------------------------------
+
+// For i = 0, 1, ..., e - 1 in order: out row to[i] += rows row from[i] *
+// scale[i], over d-element rows of the row-major rows and out. Each product
+// is rounded before it is added (no FMA in any backend), and no scale is
+// skipped -- an inf or NaN row behind a zero scale still reaches out -- so
+// the result is bit-identical on every backend to copying the source row,
+// Scale-ing it and Add-ing it, edge by edge. Destinations may repeat; out
+// must not overlap rows.
+void ScatterScaledAdd(const double* rows, size_t d, const size_t* from,
+                      const size_t* to, const double* scale, size_t e,
+                      double* out);
+
 // --- Fused skip-gram context update -----------------------------------------
 
 // One skip-gram context step of SGD: k pairs of center row `w` (read-only
@@ -136,26 +149,36 @@ void MatMulTransposed(size_t m, size_t p, size_t n, const double* a,
 
 // --- Adam ------------------------------------------------------------------
 
-// The step-constant scalars of one Adam update.
+// The step-constant scalars of one Adam step.
 struct AdamCoefficients {
+  double beta1;
+  double one_minus_beta1;
   double beta2;
   double one_minus_beta2;
   double bias_correction1;  // 1 - beta1^t
   double bias_correction2;  // 1 - beta2^t
   double lr;
   double eps;
+  double weight_decay;  // folded into the gradient when > 0
 };
 
-// Adam's second-moment and parameter update, given the first moment m
-// already updated for this step. Per element, in this order and with each
-// operation rounded on its own (no FMA):
-//   v[i] = beta2 * v[i] + one_minus_beta2 * g[i] * g[i]
+// One Adam step of one parameter, per element i in this order, each
+// operation rounded on its own:
+//   g = grad[i]                               (weight_decay <= 0)
+//   g = value[i] * weight_decay + grad[i]     (weight_decay > 0)
+//   m[i] = beta1 * m[i] + one_minus_beta1 * g (the backend's ScaleAdd)
+//   v[i] = beta2 * v[i] + one_minus_beta2 * g * g
 //   value[i] -= lr * (m[i] / bias_correction1)
 //               / (sqrt(v[i] / bias_correction2) + eps)
-// which is bit-identical across every backend on x86 (the base ISA has no
-// FMA, and the vector TUs compile the entry with contraction off).
-void AdamUpdate(double* value, const double* m, double* v, const double* g,
-                size_t n, const AdamCoefficients& c);
+// Backends walk the parameter once, in chunks whose length is a multiple
+// of 8, calling their own Scale/Add/ScaleAdd bodies and the update on each
+// chunk; so every element, tails included, is bit-identical to those four
+// calls over the whole array. The m update is ScaleAdd's own (which may
+// contract to FMA in a vector backend); the v and value updates round each
+// operation in every backend (the vector TUs compile them with contraction
+// off), so on x86 they match across backends.
+void AdamStep(double* value, const double* grad, double* m, double* v,
+              size_t n, const AdamCoefficients& c);
 
 // --- Replica averaging (sharded skip-gram merge) ----------------------------
 

@@ -17,8 +17,11 @@
 //   * Gemm adds each term with Axpy's FMA and MatMulTransposed is one
 //     DotAvx2 per element, so both match row loops over this backend's
 //     Axpy and Dot bit for bit.
-//   * AdamUpdate rounds every operation on its own (contraction off), so it
-//     is bit-identical to the scalar backend.
+//   * ScatterScaledAdd and AdamStep's v and value updates round every
+//     operation on its own (contraction off), so they are bit-identical to
+//     the scalar backend; AdamStep's m update is ScaleAddAvx2's, tail
+//     included.
+#include "numeric/adam_step_chunks.h"
 #include "numeric/gemm_row_blocks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
@@ -232,11 +235,33 @@ void MatMulTransposedAvx2(size_t m, size_t p, size_t n, const double* a,
   }
 }
 
-// Adam's update with each operation rounded on its own, as the base TU
-// computes it: GCC contracts intrinsic mul-then-add pairs into FMAs under
-// its default -ffp-contract=fast, so contraction is off for these two.
+// The scatter's products and Adam's update with each operation rounded on
+// its own, as the base TU computes them: GCC contracts intrinsic
+// mul-then-add pairs into FMAs under its default -ffp-contract=fast, so
+// contraction is off for these.
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=off")
+
+// ScaleAvx2's multiply, then AddAvx2's add, per element of each edge.
+void ScatterScaledAddAvx2(const double* rows, size_t d, const size_t* from,
+                          const size_t* to, const double* scale, size_t e,
+                          double* out) {
+  for (size_t edge = 0; edge < e; ++edge) {
+    const double* src = rows + from[edge] * d;
+    double* dst = out + to[edge] * d;
+    const double s = scale[edge];
+    const __m256d vs = _mm256_set1_pd(s);
+    size_t i = 0;
+    for (; i + 4 <= d; i += 4) {
+      const __m256d term = _mm256_mul_pd(_mm256_loadu_pd(src + i), vs);
+      _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i), term));
+    }
+    for (; i < d; ++i) {
+      const double term = src[i] * s;
+      dst[i] += term;
+    }
+  }
+}
 
 inline void AdamLanes(const AdamCoefficients& c, __m256d m, __m256d g,
                       __m256d* v, __m256d* value) {
@@ -290,11 +315,12 @@ const KernelBackend kAvx2Backend = {
     AxpyAvx2,
     ScaleAddAvx2,
     MulAddAvx2,
+    ScatterScaledAddAvx2,
     FusedContextUpdateAvx2,
     ReplicatedMeanAvx2,
     GemmRowBlocks<Avx2Rows>,
     MatMulTransposedAvx2,
-    AdamUpdateAvx2,
+    AdamStepChunks<ScaleAvx2, AddAvx2, ScaleAddAvx2, AdamUpdateAvx2>,
 };
 
 }  // namespace

@@ -4,9 +4,11 @@
 //
 // Same numerics policy as kernels_avx2.cc: reductions and FMA-bearing
 // kernels sit inside the documented ulp envelope vs the scalar backend;
-// Add/Sub/Mul/Scale, ReplicatedMean and AdamUpdate are bit-identical across
-// backends. Tails under 8 elements use masked loads/stores rather than scalar loops so
-// the whole kernel stays in one code shape.
+// Add/Sub/Mul/Scale, ScatterScaledAdd, ReplicatedMean and AdamStep's v and
+// value updates are bit-identical across backends. Tails under 8 elements
+// use masked loads/stores rather than scalar loops so the whole kernel stays
+// in one code shape.
+#include "numeric/adam_step_chunks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
 
@@ -404,13 +406,38 @@ void MatMulTransposedAvx512(size_t m, size_t p, size_t n, const double* a,
   }
 }
 
-// Adam's update with each operation rounded on its own, as the base TU
-// computes it: GCC contracts intrinsic mul-then-add pairs into FMAs under
-// its default -ffp-contract=fast, so contraction is off for these two. The
-// full-mask sqrt keeps _mm512_sqrt_pd's undefined-value placeholder, which
-// draws -Wmaybe-uninitialized, out of the build.
+// The scatter's products and Adam's update with each operation rounded on
+// its own, as the base TU computes them: GCC contracts intrinsic
+// mul-then-add pairs into FMAs under its default -ffp-contract=fast, so
+// contraction is off for these. The full-mask sqrt keeps _mm512_sqrt_pd's
+// undefined-value placeholder, which draws -Wmaybe-uninitialized, out of
+// the build.
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=off")
+
+// ScaleAvx512's multiply, then AddAvx512's add, per element of each edge.
+void ScatterScaledAddAvx512(const double* rows, size_t d, const size_t* from,
+                            const size_t* to, const double* scale, size_t e,
+                            double* out) {
+  const __mmask8 tail = TailMask(d % 8);
+  const size_t main = d - d % 8;
+  for (size_t edge = 0; edge < e; ++edge) {
+    const double* src = rows + from[edge] * d;
+    double* dst = out + to[edge] * d;
+    const __m512d vs = _mm512_set1_pd(scale[edge]);
+    for (size_t i = 0; i < main; i += 8) {
+      const __m512d term = _mm512_mul_pd(_mm512_loadu_pd(src + i), vs);
+      _mm512_storeu_pd(dst + i, _mm512_add_pd(_mm512_loadu_pd(dst + i), term));
+    }
+    if (main < d) {
+      const __m512d term =
+          _mm512_mul_pd(_mm512_maskz_loadu_pd(tail, src + main), vs);
+      _mm512_mask_storeu_pd(
+          dst + main, tail,
+          _mm512_add_pd(_mm512_maskz_loadu_pd(tail, dst + main), term));
+    }
+  }
+}
 
 inline void AdamLanes(const AdamCoefficients& c, __m512d m, __m512d g,
                       __m512d* v, __m512d* value) {
@@ -461,11 +488,12 @@ const KernelBackend kAvx512Backend = {
     AxpyAvx512,
     ScaleAddAvx512,
     MulAddAvx512,
+    ScatterScaledAddAvx512,
     FusedContextUpdateAvx512,
     ReplicatedMeanAvx512,
     GemmAvx512,
     MatMulTransposedAvx512,
-    AdamUpdateAvx512,
+    AdamStepChunks<ScaleAvx512, AddAvx512, ScaleAddAvx512, AdamUpdateAvx512>,
 };
 
 }  // namespace

@@ -125,6 +125,27 @@ inline void MulAdd(double* __restrict z, const double* __restrict x,
   for (size_t i = main; i < n; ++i) z[i] += x[i] * y[i];
 }
 
+// Each product rounds before its add. The base x86-64 ISA has no FMA, but
+// aarch64's does, so contraction is off here as in the vector TUs.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+inline void ScatterScaledAdd(const double* rows, size_t d, const size_t* from,
+                             const size_t* to, const double* scale, size_t e,
+                             double* out) {
+  for (size_t i = 0; i < e; ++i) {
+    const double* src = rows + from[i] * d;
+    double* dst = out + to[i] * d;
+    const double s = scale[i];
+    for (size_t j = 0; j < d; ++j) {
+      const double term = src[j] * s;
+      dst[j] += term;
+    }
+  }
+}
+
+#pragma GCC pop_options
+
 // Pairs whose dots FusedContextUpdate computes before their updates; a
 // longer context runs as consecutive blocks, which the distinct-rows
 // contract makes equal to one pass.

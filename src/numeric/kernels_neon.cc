@@ -4,8 +4,9 @@
 //
 // Same numerics policy as the x86 vector backends: two-lane accumulator
 // reductions and vfmaq contraction sit inside the documented ulp envelope vs
-// the scalar backend; Add/Sub/Mul/Scale and ReplicatedMean are bit-identical
-// across backends.
+// the scalar backend; Add/Sub/Mul/Scale, ScatterScaledAdd and ReplicatedMean
+// are bit-identical across backends.
+#include "numeric/adam_step_chunks.h"
 #include "numeric/gemm_row_blocks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
@@ -186,8 +187,36 @@ void MatMulTransposedNeon(size_t m, size_t p, size_t n, const double* a,
   }
 }
 
+// The scatter's products rounded before their adds, as ScaleNeon and
+// AddNeon compute them: GCC may contract vmulq/vaddq pairs into FMAs, so
+// contraction is off for this one.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+void ScatterScaledAddNeon(const double* rows, size_t d, const size_t* from,
+                          const size_t* to, const double* scale, size_t e,
+                          double* out) {
+  for (size_t edge = 0; edge < e; ++edge) {
+    const double* src = rows + from[edge] * d;
+    double* dst = out + to[edge] * d;
+    const double s = scale[edge];
+    const float64x2_t vs = vdupq_n_f64(s);
+    size_t i = 0;
+    for (; i + 2 <= d; i += 2) {
+      const float64x2_t term = vmulq_f64(vld1q_f64(src + i), vs);
+      vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), term));
+    }
+    for (; i < d; ++i) {
+      const double term = src[i] * s;
+      dst[i] += term;
+    }
+  }
+}
+
+#pragma GCC pop_options
+
 // The C++ loop of the base TU under the same (aarch64 base) flags, so this
-// entry keeps whatever contraction the compiler applied there.
+// update keeps whatever contraction the compiler applied there.
 void AdamUpdateNeon(double* value, const double* m, double* v,
                     const double* g, size_t n, const AdamCoefficients& c) {
   const double beta2 = c.beta2, one_minus_beta2 = c.one_minus_beta2;
@@ -212,11 +241,12 @@ const KernelBackend kNeonBackend = {
     AxpyNeon,
     ScaleAddNeon,
     MulAddNeon,
+    ScatterScaledAddNeon,
     FusedContextUpdateNeon,
     ReplicatedMeanNeon,
     GemmRowBlocks<NeonRows>,
     MatMulTransposedNeon,
-    AdamUpdateNeon,
+    AdamStepChunks<ScaleNeon, AddNeon, ScaleAddNeon, AdamUpdateNeon>,
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 // determinism oracle every other backend is tested against -- see
 // kernels_generic.h for why the instantiation here is bit-identical to the
 // pre-dispatch kernel layer.
+#include "numeric/adam_step_chunks.h"
 #include "numeric/gemm_row_blocks.h"
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels_generic.h"
@@ -29,11 +30,13 @@ const KernelBackend kScalarBackend = {
     generic::Axpy,
     generic::ScaleAdd,
     generic::MulAdd,
+    generic::ScatterScaledAdd,
     generic::FusedContextUpdate,
     generic::ReplicatedMean,
     GemmRowBlocks<ScalarRows>,
     generic::MatMulTransposed,
-    generic::AdamUpdate,
+    AdamStepChunks<generic::Scale, generic::Add, generic::ScaleAdd,
+                   generic::AdamUpdate>,
 };
 
 }  // namespace

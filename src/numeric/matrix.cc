@@ -127,12 +127,6 @@ Matrix Matrix::AddRowBroadcast(const Matrix& row) const {
   return out;
 }
 
-Matrix Matrix::Map(const std::function<double(double)>& fn) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v = fn(v);
-  return out;
-}
-
 double Matrix::Sum() const {
   return kernels::Sum(data_.data(), data_.size());
 }

@@ -6,7 +6,6 @@
 #define TG_NUMERIC_MATRIX_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -97,9 +96,6 @@ class Matrix {
 
   // Adds a 1 x cols row vector to every row.
   Matrix AddRowBroadcast(const Matrix& row) const;
-
-  // Applies fn elementwise.
-  Matrix Map(const std::function<double(double)>& fn) const;
 
   double Sum() const;
   double FrobeniusNorm() const;

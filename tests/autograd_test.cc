@@ -400,6 +400,21 @@ TEST(AutogradTest, ZeroGradResets) {
   EXPECT_TRUE(x->grad().empty());
 }
 
+// The next accumulation after ZeroGrad starts from zeros again, in the
+// storage ZeroGrad kept.
+TEST(AutogradTest, ZeroGradKeepsStorageAndRezeroes) {
+  Var x = MakeParameter(Matrix::FromRows({{1.0, -2.0}, {3.0, 0.5}}));
+  Backward(Sum(Mul(x, x)));
+  const Matrix first = x->grad();
+  const double* storage = x->grad().data();
+  x->ZeroGrad();
+  Backward(Sum(Mul(x, x)));
+  EXPECT_EQ(x->grad().data(), storage);
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(x->grad().data()[i], first.data()[i]) << i;
+  }
+}
+
 TEST(AutogradTest, DiamondDependencyGradient) {
   // y = a*b + a*c shares `a` along two paths.
   CheckGradient(

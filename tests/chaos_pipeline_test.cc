@@ -26,8 +26,11 @@ namespace {
 
 // TSan instruments the allocator with process-wide locks; forking while any
 // instrumented thread exists can deadlock the child. The fork-based race
-// runs under the plain and ASan builds instead.
-#if defined(__has_feature)
+// runs under the plain and ASan builds instead. GCC marks a TSan build with
+// __SANITIZE_THREAD__, Clang with __has_feature(thread_sanitizer).
+#if defined(__SANITIZE_THREAD__)
+#define TG_SKIP_FORK_TESTS 1
+#elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define TG_SKIP_FORK_TESTS 1
 #endif

@@ -112,9 +112,11 @@ double PairGradient(const kernels::KernelBackend& k, const double* w,
   return (label - kernels::TabulatedSigmoid(k.dot(w, c, n))) * lr;
 }
 
-// --- The loops the gemm, matmul_transposed and adam_update entries replaced:
-// Matrix::MatMul, Matrix::TransposedMatMul, Matrix::MatMulTransposed and the
-// Adam::Step update, copied here over backend k's axpy and dot.
+// --- The loops the gemm, matmul_transposed, adam_step and
+// scatter_scaled_add entries replaced: Matrix::MatMul,
+// Matrix::TransposedMatMul, Matrix::MatMulTransposed, the Adam::Step update
+// sequence and autograd's per-edge scatter, copied here over backend k's
+// axpy, dot, scale, add and scale_add.
 
 // out (m x n) += A * b for the row-major m x kd matrix A, as MatMul did it.
 void MatMulRowLoop(const kernels::KernelBackend& k, size_t m, size_t n,
@@ -169,6 +171,39 @@ void AdamRowLoop(double* value, const double* md, double* vd,
   }
 }
 
+// Adam::Step's sequence over a whole parameter before adam_step: the
+// weight-decayed gradient (a copy of value, Scale, Add), the first moment by
+// ScaleAdd, then AdamRowLoop (every backend's former adam_update, bit for
+// bit on x86).
+void AdamSequence(const kernels::KernelBackend& k, double* value,
+                  const double* grad, double* m, double* v, size_t n,
+                  const kernels::AdamCoefficients& c) {
+  std::vector<double> decayed;
+  const double* gd = grad;
+  if (c.weight_decay > 0.0) {
+    decayed.assign(value, value + n);
+    k.scale(decayed.data(), c.weight_decay, n);
+    k.add(decayed.data(), grad, n);
+    gd = decayed.data();
+  }
+  k.scale_add(m, c.beta1, c.one_minus_beta1, gd, n);
+  AdamRowLoop(value, m, v, gd, n, c);
+}
+
+// autograd's scatter before scatter_scaled_add: per edge, a copy of the
+// source row, Scale by the edge's factor, Add into the destination row.
+void ScatterSequence(const kernels::KernelBackend& k, const double* rows,
+                     size_t d, const size_t* from, const size_t* to,
+                     const double* scale, size_t e, double* out) {
+  std::vector<double> term(d);
+  for (size_t i = 0; i < e; ++i) {
+    const double* src = rows + from[i] * d;
+    std::copy(src, src + d, term.data());
+    k.scale(term.data(), scale[i], d);
+    k.add(out + to[i] * d, term.data(), d);
+  }
+}
+
 // Row-major m x kd coefficients A(i, p). Rows cycle through dense
 // mixed-magnitude values with about a quarter zeros, a GNN-style sparse
 // feature row (a one-hot flag, a -0.0, a value every seventh column) and an
@@ -202,9 +237,16 @@ std::vector<double> Transposed(const std::vector<double>& a, size_t m,
 }
 
 // Adam coefficients at step t with the GNN trainer's settings.
-kernels::AdamCoefficients AdamAtStep(int t) {
-  return {0.999, 1.0 - 0.999, 1.0 - std::pow(0.9, t), 1.0 - std::pow(0.999, t),
-          1e-2, 1e-8};
+kernels::AdamCoefficients AdamAtStep(int t, double weight_decay) {
+  return {0.9,
+          1.0 - 0.9,
+          0.999,
+          1.0 - 0.999,
+          1.0 - std::pow(0.9, t),
+          1.0 - std::pow(0.999, t),
+          1e-2,
+          1e-8,
+          weight_decay};
 }
 
 struct PinnedEntry {
@@ -351,19 +393,46 @@ const PinnedEntry kScalarPinnedEntries[] = {
                            out.data());
        hash->Add(out);
      }},
-    // Recorded from AdamRowLoop.
-    {"adam_update", 0x5e29ab6cfc363e4fULL,
+    // Recorded on the parent from AdamSequence's calls over the whole
+    // parameter, with its adam_update entry in place of AdamRowLoop;
+    // lengths past 512 span chunks.
+    {"adam_step", 0xe8485e272daa1886ULL,
      [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
         BitHash* hash) {
-       std::vector<double> value = MixedMagnitude(n + 1, rng);
-       const std::vector<double> m = MixedMagnitude(n + 1, rng);
-       const std::vector<double> g = MixedMagnitude(n + 1, rng);
-       std::vector<double> v = MixedMagnitude(n + 1, rng);
-       for (double& x : v) x = std::abs(x);
-       k.adam_update(value.data() + off, m.data() + off, v.data() + off,
-                     g.data() + off, n, AdamAtStep(1 + static_cast<int>(n % 5)));
-       hash->Add(value);
-       hash->Add(v);
+       for (double weight_decay : {0.0, 1e-5}) {
+         std::vector<double> value = MixedMagnitude(n + 1, rng);
+         const std::vector<double> g = MixedMagnitude(n + 1, rng);
+         std::vector<double> m = MixedMagnitude(n + 1, rng);
+         std::vector<double> v = MixedMagnitude(n + 1, rng);
+         for (double& x : v) x = std::abs(x);
+         k.adam_step(value.data() + off, g.data() + off, m.data() + off,
+                     v.data() + off, n,
+                     AdamAtStep(1 + static_cast<int>(n % 5), weight_decay));
+         hash->Add(value);
+         hash->Add(m);
+         hash->Add(v);
+       }
+     }},
+    // Recorded from ScatterSequence on the parent: nine edges from five
+    // source rows into three destination rows, with a 0.0 and a -0.0 scale.
+    {"scatter_scaled_add", 0x5c3d96e08f7144b0ULL,
+     [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
+        BitHash* hash) {
+       constexpr size_t kSources = 5, kDests = 3, kEdges = 9;
+       const std::vector<double> rows = MixedMagnitude(kSources * n + 1, rng);
+       std::vector<double> out = MixedMagnitude(kDests * n + 1, rng);
+       size_t from[kEdges], to[kEdges];
+       double scale[kEdges];
+       for (size_t e = 0; e < kEdges; ++e) {
+         from[e] = rng->NextBelow(kSources);
+         to[e] = rng->NextBelow(kDests);
+         scale[e] = rng->NextUniform(-2.0, 2.0);
+       }
+       scale[3] = 0.0;
+       scale[6] = -0.0;
+       k.scatter_scaled_add(rows.data() + off, n, from, to, scale, kEdges,
+                            out.data() + off);
+       hash->Add(out);
      }},
     {"replicated_mean", 0x19958c649b2b7670ULL,
      [](const kernels::KernelBackend& k, size_t n, size_t off, Rng* rng,
@@ -848,40 +917,103 @@ TEST_F(KernelsTest, EveryBackendMatMulTransposedMatchRowLoops) {
   }
 }
 
-// The Adam update rounds each operation on its own, so every backend
-// reproduces the base TU's loop exactly -- including zero, inf and NaN
-// gradients and the first steps' large bias corrections.
-TEST_F(KernelsTest, EveryBackendAdamUpdateMatchRowLoops) {
+// adam_step walks a parameter in chunks, calling the backend's own Scale,
+// Add, ScaleAdd and update on each, so it must equal those calls over the
+// whole parameter bit for bit -- tails, chunk boundaries, zero, inf and NaN
+// gradients, the first steps' large bias corrections and weight decay
+// included.
+TEST_F(KernelsTest, EveryBackendAdamStepMatchesSequentialCalls) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const std::string& backend : kernels::AvailableBackendNames()) {
     ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    const kernels::KernelBackend& k = kernels::ActiveBackend();
     Rng rng(53);
-    for (size_t n : kLengths) {
-      for (int step : {1, 2, 10, 150}) {
-        std::vector<double> value = MixedMagnitude(n, &rng);
-        const std::vector<double> m = MixedMagnitude(n, &rng);
-        std::vector<double> g = MixedMagnitude(n, &rng);
-        std::vector<double> v = MixedMagnitude(n, &rng);
-        for (double& x : v) x = std::abs(x);
-        if (n > 3) {
-          g[0] = 0.0;
-          g[1] = -inf;
-          g[n - 1] = nan;
-          v[2] = 0.0;
-        }
-        const kernels::AdamCoefficients c = AdamAtStep(step);
-        std::vector<double> got_value = value, got_v = v;
-        kernels::AdamUpdate(got_value.data(), m.data(), got_v.data(),
-                            g.data(), n, c);
-        AdamRowLoop(value.data(), m.data(), v.data(), g.data(), n, c);
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(BitsOf(got_value[i]), BitsOf(value[i]))
-              << backend << " n=" << n << " step=" << step << " i=" << i;
-          ASSERT_EQ(BitsOf(got_v[i]), BitsOf(v[i]))
-              << backend << " n=" << n << " step=" << step << " i=" << i;
+    for (size_t n : {1, 7, 8, 9, 77, 284, 512, 1029}) {
+      for (double weight_decay : {0.0, 1e-5}) {
+        for (int step : {1, 2, 10, 150}) {
+          std::vector<double> value = MixedMagnitude(n + 1, &rng);
+          std::vector<double> g = MixedMagnitude(n + 1, &rng);
+          std::vector<double> m = MixedMagnitude(n + 1, &rng);
+          std::vector<double> v = MixedMagnitude(n + 1, &rng);
+          for (double& x : v) x = std::abs(x);
+          if (n > 3) {
+            g[1] = 0.0;
+            g[2] = -inf;
+            g[n] = nan;
+            v[3] = 0.0;
+          }
+          const kernels::AdamCoefficients c = AdamAtStep(step, weight_decay);
+          for (size_t off : {size_t{0}, size_t{1}}) {
+            std::vector<double> got_value = value, got_m = m, got_v = v;
+            std::vector<double> want_value = value, want_m = m, want_v = v;
+            kernels::AdamStep(got_value.data() + off, g.data() + off,
+                              got_m.data() + off, got_v.data() + off, n, c);
+            AdamSequence(k, want_value.data() + off, g.data() + off,
+                         want_m.data() + off, want_v.data() + off, n, c);
+            for (size_t i = 0; i <= n; ++i) {
+              ASSERT_EQ(BitsOf(got_value[i]), BitsOf(want_value[i]))
+                  << backend << " n=" << n << " wd=" << weight_decay
+                  << " step=" << step << " off=" << off << " i=" << i;
+              ASSERT_EQ(BitsOf(got_m[i]), BitsOf(want_m[i]))
+                  << backend << " n=" << n << " wd=" << weight_decay
+                  << " step=" << step << " off=" << off << " i=" << i;
+              ASSERT_EQ(BitsOf(got_v[i]), BitsOf(want_v[i]))
+                  << backend << " n=" << n << " wd=" << weight_decay
+                  << " step=" << step << " off=" << off << " i=" << i;
+            }
+          }
         }
       }
+    }
+  }
+}
+
+// scatter_scaled_add rounds each product before its add, so on every
+// backend it equals the per-edge copy, Scale and Add it replaced: repeated
+// destinations, a -0.0 destination, and inf and NaN source rows behind zero
+// and non-zero scales (a zero scale must not skip them: inf * 0 is NaN). At
+// most one NaN reaches each output element: which of two NaNs an add keeps
+// follows the compiler's operand order, which no backend pins.
+TEST_F(KernelsTest, EveryBackendScatterScaledAddMatchesCopyScaleAdd) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr size_t kSources = 6, kDests = 4;
+  const size_t from[] = {0, 1, 2, 3, 4, 5, 1, 0, 2, 4, 3, 5, 0};
+  const size_t to[] = {0, 0, 1, 0, 2, 3, 3, 1, 0, 3, 3, 2, 0};
+  constexpr size_t kEdges = sizeof(from) / sizeof(from[0]);
+  static_assert(sizeof(to) == sizeof(from));
+  for (const std::string& backend : kernels::AvailableBackendNames()) {
+    ASSERT_TRUE(kernels::SetActiveBackend(backend));
+    const kernels::KernelBackend& k = kernels::ActiveBackend();
+    Rng rng(59);
+    for (size_t d : {1, 7, 64, 129, 278}) {
+      std::vector<double> rows = MixedMagnitude(kSources * d, &rng);
+      // Row 2 holds inf and NaN (edges with scales 0.0 and -1.5), row 4 a
+      // NaN (scale -0.0 and 0.75).
+      for (size_t j = 0; j < d; ++j) rows[2 * d + j] = j % 2 == 0 ? inf : nan;
+      rows[4 * d + d / 2] = nan;
+      std::vector<double> base = MixedMagnitude(kDests * d, &rng);
+      base[3 * d] = -0.0;
+      double scale[kEdges];
+      for (size_t e = 0; e < kEdges; ++e) {
+        scale[e] = rng.NextUniform(-2.0, 2.0);
+      }
+      scale[2] = 0.0;
+      scale[8] = -1.5;
+      scale[4] = -0.0;
+      scale[9] = 0.75;
+
+      std::vector<double> got = base, want = base;
+      kernels::ScatterScaledAdd(rows.data(), d, from, to, scale, kEdges,
+                                got.data());
+      ScatterSequence(k, rows.data(), d, from, to, scale, kEdges,
+                      want.data());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(BitsOf(got[i]), BitsOf(want[i]))
+            << backend << " d=" << d << " i=" << i;
+      }
+      EXPECT_TRUE(std::isnan(got[1 * d]));  // inf * 0.0 reached row 1
     }
   }
 }

@@ -126,10 +126,8 @@ TEST(MatrixTest, AddRowBroadcast) {
   EXPECT_DOUBLE_EQ(out(1, 1), 104.0);
 }
 
-TEST(MatrixTest, MapSumNorms) {
+TEST(MatrixTest, SumNorms) {
   Matrix a = Small();
-  Matrix sq = a.Map([](double v) { return v * v; });
-  EXPECT_DOUBLE_EQ(sq(1, 1), 16.0);
   EXPECT_DOUBLE_EQ(a.Sum(), 10.0);
   EXPECT_DOUBLE_EQ(a.FrobeniusNorm(), std::sqrt(30.0));
   EXPECT_DOUBLE_EQ(a.MaxAbs(), 4.0);

@@ -1,4 +1,8 @@
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +58,58 @@ TEST(NegativeSamplerTest, SaturatedGraphReturnsFewer) {
   Rng rng(3);
   auto negatives = SampleNegativeEdges(g, 10, &rng);
   EXPECT_TRUE(negatives.empty());
+}
+
+// FNV-1a over the pair count and every pair in order.
+uint64_t HashPairs(const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix = [&hash](uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (x >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(pairs.size());
+  for (const auto& [a, b] : pairs) {
+    mix(a);
+    mix(b);
+  }
+  return hash;
+}
+
+// The draws and the decisions per draw (self pair, repeat, edge) are a
+// contract: GNN training consumes this rng stream. Hashes recorded from the
+// seen-set and adjacency-scan sampler: a dense random multigraph (300 draws
+// of an edge over 30 nodes, so many pairs carry two or more edges), the
+// 12-node ring, and a count above the 6-node ring's nine non-edges, which
+// runs out of attempts.
+TEST(NegativeSamplerTest, SampledPairsPinned) {
+  Graph dense;
+  for (int i = 0; i < 30; ++i) {
+    dense.AddNode(NodeType::kDataset, "d" + std::to_string(i));
+  }
+  Rng build(11);
+  for (int e = 0; e < 300; ++e) {
+    const NodeId a = static_cast<NodeId>(build.NextBelow(30));
+    NodeId b = static_cast<NodeId>(build.NextBelow(29));
+    if (b >= a) ++b;
+    dense.AddUndirectedEdge(a, b, EdgeType::kDatasetDataset, 1.0);
+  }
+  Rng rng_dense(12);
+  const auto dense_pairs = SampleNegativeEdges(dense, 150, &rng_dense);
+  EXPECT_EQ(dense_pairs.size(), 150u);
+  EXPECT_EQ(HashPairs(dense_pairs), 0x7966bc387b94e7bbULL);
+
+  Rng rng_ring(13);
+  const auto ring_pairs = SampleNegativeEdges(RingGraph(12), 40, &rng_ring);
+  EXPECT_EQ(ring_pairs.size(), 40u);
+  EXPECT_EQ(HashPairs(ring_pairs), 0x92cb3863910e06a0ULL);
+
+  Rng rng_exhaust(14);
+  const auto exhaust_pairs =
+      SampleNegativeEdges(RingGraph(6), 20, &rng_exhaust);
+  EXPECT_EQ(exhaust_pairs.size(), 9u);
+  EXPECT_EQ(HashPairs(exhaust_pairs), 0x8504805863c709abULL);
 }
 
 TEST(UnigramSamplerTest, HigherDegreeSampledMoreOften) {

@@ -376,12 +376,13 @@ TEST_F(ObsTest, KernelCallCountersFollowTheMetricsGate) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
   obs::Counter& dot = registry.GetCounter("numeric.kernel.dot.calls");
   obs::Counter& gemm = registry.GetCounter("numeric.kernel.gemm.calls");
-  obs::Counter& adam =
-      registry.GetCounter("numeric.kernel.adam_update.calls");
+  obs::Counter& adam = registry.GetCounter("numeric.kernel.adam_step.calls");
   const double x[3] = {1.0, 2.0, 3.0};
   double y[3] = {0.0, 0.0, 0.0};
+  double m[3] = {0.0, 0.0, 0.0};
   double value[3] = {1.0, 1.0, 1.0};
-  const kernels::AdamCoefficients c = {0.999, 0.001, 0.1, 0.001, 1e-2, 1e-8};
+  const kernels::AdamCoefficients c = {0.9,  0.1,  0.999, 0.001, 0.1,
+                                       0.001, 1e-2, 1e-8, 0.0};
 
   obs::SetMetricsEnabled(true);
   const uint64_t dot_on = dot.value();
@@ -389,7 +390,7 @@ TEST_F(ObsTest, KernelCallCountersFollowTheMetricsGate) {
   const uint64_t adam_on = adam.value();
   kernels::Dot(x, x, 3);
   kernels::Gemm(1, 3, 1, x, 1, 1, x, y);
-  kernels::AdamUpdate(value, x, y, x, 3, c);
+  kernels::AdamStep(value, x, m, y, 3, c);
   EXPECT_EQ(dot.value(), dot_on + 1);
   EXPECT_EQ(gemm.value(), gemm_on + 1);
   EXPECT_EQ(adam.value(), adam_on + 1);
@@ -397,7 +398,7 @@ TEST_F(ObsTest, KernelCallCountersFollowTheMetricsGate) {
   obs::SetMetricsEnabled(false);
   kernels::Dot(x, x, 3);
   kernels::Gemm(1, 3, 1, x, 1, 1, x, y);
-  kernels::AdamUpdate(value, x, y, x, 3, c);
+  kernels::AdamStep(value, x, m, y, 3, c);
   EXPECT_EQ(dot.value(), dot_on + 1);
   EXPECT_EQ(gemm.value(), gemm_on + 1);
   EXPECT_EQ(adam.value(), adam_on + 1);

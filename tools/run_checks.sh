@@ -75,9 +75,13 @@ else
   # dedicated UB check even when the full-matrix sanitizer suite is too slow
   # for the pre-PR loop. core_baselines_test and zoo_world_test drive the
   # zoo's shared estimator miss path (extraction, source probabilities,
-  # hard labels, all four estimators) on real zoo data.
+  # hard labels, all four estimators) on real zoo data. The autograd, GNN,
+  # optimizer and negative-sampler suites drive the message-passing scatter
+  # (writes through edge index arrays), the chunked Adam step and the
+  # sampler's n x n pair map.
   UBSAN_KERNEL_TESTS="kernels_test transferability_test stats_test util_test
-      core_baselines_test zoo_world_test"
+      core_baselines_test zoo_world_test autograd_test gnn_test nn_test
+      negative_sampler_test"
   cmake -B build-ubsan -S . -DTG_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target $UBSAN_KERNEL_TESTS
@@ -94,7 +98,7 @@ section "kernel backend dispatch gate"
 # backend contracts their mul+add to FMA. The GBDT suite pins its output
 # bits, which must not depend on the backend either. The matrix, nn and
 # estimator-baseline suites run every MatMul caller (the Adam update, the
-# LogME gram) through the Gemm / MatMulTransposed / AdamUpdate entries, and
+# LogME gram) through the Gemm / MatMulTransposed / AdamStep entries, and
 # core_baselines_test pins the estimator scores per backend. `tg_cli
 # backend` prints both facts; forcing a backend that does not exist must be
 # a hard error, never a silent fallback (see docs/performance.md).
